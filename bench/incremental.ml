@@ -5,9 +5,9 @@
    the same query from scratch each time:
 
    - cold      : fresh session, full encode + merge + anneal
-   - warm push : extend a solved conjunction (delta-patched QUBO,
-                 anneal warm-started from the previous best sample with
-                 verified-read early exit)
+   - warm push : extend a solved conjunction (re-merged from cached
+                 per-conjunct encodings, anneal warm-started from the
+                 previous best sample with verified-read early exit)
    - warm pop  : retract back to a solved prefix (the cached model still
                  verifies, so no sampling happens at all)
 

@@ -231,56 +231,6 @@ let of_dense m =
   done;
   freeze ~num_vars:n b
 
-let same_structure a b = a.n = b.n && a.row_ptr = b.row_ptr && a.col = b.col
-
-(* Binary search for column [j] within row [i]; rows are sorted by
-   [freeze]. Returns the CSR slot or -1 when the coupler is absent. *)
-let find_slot t i j =
-  let lo = ref t.row_ptr.(i) and hi = ref (t.row_ptr.(i + 1) - 1) in
-  let found = ref (-1) in
-  while !found < 0 && !lo <= !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = t.col.(mid) in
-    if c = j then found := mid else if c < j then lo := mid + 1 else hi := mid - 1
-  done;
-  !found
-
-exception Unpatchable
-
-let patch_parts t parts =
-  (* Adds each part's coefficients onto copies of [t]'s arrays, in part
-     order. Because frozen values are verbatim builder accumulations and
-     builder [add] is a left-fold per key, patching part k+1..m onto the
-     frozen merge of parts 1..k performs float additions in exactly the
-     order a full re-merge of parts 1..m would — so the result is
-     bit-exact, not just approximately equal. Declined (None) whenever
-     that guarantee would break: a part coupler with no slot in [t]'s CSR
-     structure (freeze would have to re-allocate), or a patched coupler
-     landing on exactly [0.] (freeze would drop it). *)
-  let lin = Array.copy t.lin in
-  let value = Array.copy t.value in
-  let offset = ref t.t_offset in
-  let patched = ref 0 in
-  try
-    List.iter
-      (fun p ->
-        if p.n > t.n then raise Unpatchable;
-        iter_linear p (fun i q ->
-            lin.(i) <- lin.(i) +. q;
-            incr patched);
-        iter_quadratic p (fun i j q ->
-            let ki = find_slot t i j and kj = find_slot t j i in
-            if ki < 0 || kj < 0 then raise Unpatchable;
-            let v = value.(ki) +. q in
-            if v = 0. then raise Unpatchable;
-            value.(ki) <- v;
-            value.(kj) <- v;
-            incr patched);
-        offset := !offset +. p.t_offset)
-      parts;
-    Some ({ t with t_offset = !offset; lin; value }, !patched)
-  with Unpatchable -> None
-
 let max_abs_coefficient t =
   let m = ref 0. in
   Array.iter (fun v -> m := Float.max !m (Float.abs v)) t.lin;

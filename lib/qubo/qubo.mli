@@ -136,28 +136,6 @@ val of_dense : float array array -> t
     diagonal, adds lower-triangle entries into their mirrored position.
     @raise Invalid_argument if the matrix is not square. *)
 
-(** {1 Incremental patching} *)
-
-val same_structure : t -> t -> bool
-(** Same variable count and the same CSR adjacency (identical interaction
-    graph, coefficients ignored). When two frozen problems share their
-    structure, a minor embedding computed for one is valid for the
-    other — this is the incremental solver's embedding-reuse test. *)
-
-val patch_parts : t -> t list -> (t * int) option
-(** [patch_parts q parts] adds every coefficient and the offset of each
-    part onto a copy of the frozen [q], in part order, without
-    re-freezing. Intended for incremental solving: when [q] is the frozen
-    merge of conjunct encodings [p1 .. pk] and [parts] is [p(k+1) .. pm],
-    the result is {b bit-exact} equal to re-merging [p1 .. pm] from
-    scratch — the float additions happen in the same left-fold order the
-    builder would use. Returns the patched problem and the number of
-    patched coefficients, or [None] when patching cannot preserve that
-    guarantee: a part touches a coupler absent from [q]'s CSR structure,
-    a patched coupler lands on exactly [0.] (a fresh {!freeze} would drop
-    it), or a part has more variables than [q]. [None] is not an error —
-    the caller falls back to a full merge. *)
-
 val max_abs_coefficient : t -> float
 (** Largest absolute value over linear and quadratic coefficients;
     [0.] for an empty problem. Drives default temperature schedules. *)

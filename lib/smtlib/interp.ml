@@ -35,12 +35,15 @@ let statically_unsat = function
   | _ -> false
 
 let annealing_backend ?params ?sampler ?absint ?(telemetry = Telemetry.null) () =
-  (* One incremental session per backend: repeated queries over a
-     push/pop session reuse cached encodings, delta-patch the merged
-     QUBO, and warm-start the anneal from the previous best sample. A
-     cold first query behaves exactly like [Solver.solve] /
-     [Joint.solve]. The session re-runs the abstract interpreter on
-     every query, so push/pop deltas get fresh static verdicts. *)
+  (* One incremental session per backend: every query runs the staged
+     pipeline ([Stage.run]) that [Solver.solve] / [Joint.solve] run, so
+     a cold first query behaves exactly like them and traces the same
+     [solve] span tree. Repeated queries over a push/pop session reuse
+     cached encodings and a still-valid model, and warm-start the
+     anneal from the previous best sample. The session re-runs the
+     abstract interpreter on every query, so push/pop deltas get fresh
+     static verdicts. The check-sat sites below take the one GC probe
+     per answered query. *)
   let session = Qsmt_strtheory.Incremental.create ?params ?sampler ?absint ~telemetry () in
   {
     backend_name = "annealing";

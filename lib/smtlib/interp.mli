@@ -44,8 +44,8 @@ val annealing_backend :
     re-run on every query, so [push]/[pop] deltas get fresh verdicts;
     [`Off] restores the never-[`Unsat] behavior). The sampler defaults
     to {!Qsmt_strtheory.Solver.default_sampler} with seed 0. [telemetry]
-    is handed to every {!Qsmt_strtheory.Solver.solve} /
-    {!Qsmt_strtheory.Joint.solve} the backend performs. *)
+    is handed to the backend's {!Qsmt_strtheory.Incremental} session, so
+    every query emits the {!Qsmt_strtheory.Stage.run} span tree. *)
 
 val create :
   ?params:Qsmt_strtheory.Params.t ->

@@ -1,32 +1,20 @@
 module Qubo = Qsmt_qubo.Qubo
-module Analyze = Qsmt_qubo.Analyze
-module Ascii7 = Qsmt_util.Ascii7
 module Bitvec = Qsmt_util.Bitvec
 module Telemetry = Qsmt_util.Telemetry
 module Sampleset = Qsmt_anneal.Sampleset
-module Sampler = Qsmt_anneal.Sampler
 
 let ( let* ) = Result.bind
 
 type t = {
-  params : Params.t option;
-  sampler : Sampler.t;
-  lint : Lint.gate;
-  lint_config : Lint.config option;
-  absint : Absint.gate;
-  telemetry : Telemetry.t;
+  config : Stage.config;
   (* Per-conjunct frozen encodings, gated once at insertion. [Constr.t]
      is a plain structural value, so it keys the table directly. *)
   encode_cache : (Constr.t, Qubo.t) Hashtbl.t;
-  (* The last joint conjunction solved: conjuncts in canonical order and
-     their merged QUBO. When the next query extends this list, the
-     merged matrix is coefficient-patched instead of rebuilt. *)
-  mutable merged : (Constr.t list * Qubo.t) option;
-  (* Best assignment of the previous anneal, as (num_vars, bits) — the
+  (* Best assignment of the last sampled or reused answer — the
      reverse-anneal seed for the next query of the same size. *)
-  mutable warm : (int * Bitvec.t) option;
-  (* The previous satisfying string: if it still verifies against the
-     new conjuncts (the pop case — constraints only got weaker), no
+  mutable warm : Bitvec.t option;
+  (* The last satisfying string: if it still verifies against the new
+     conjuncts (the pop case — constraints only got weaker), no
      sampling is needed at all. *)
   mutable last_sat : string option;
 }
@@ -35,329 +23,39 @@ let create ?params ?sampler ?(lint = `Off) ?lint_config ?(absint = `On)
     ?(telemetry = Telemetry.null) () =
   let sampler = match sampler with Some s -> s | None -> Solver.default_sampler ~seed:0 in
   {
-    params;
-    sampler;
-    lint;
-    lint_config;
-    absint;
-    telemetry;
+    config = { Stage.params; sampler; lint; lint_config; absint; telemetry };
     encode_cache = Hashtbl.create 16;
-    merged = None;
     warm = None;
     last_sat = None;
   }
 
 let reset t =
   Hashtbl.reset t.encode_cache;
-  t.merged <- None;
   t.warm <- None;
   t.last_sat <- None
 
-(* ------------------------------------------------------------------ *)
-(* Pre-encode abstract interpretation. Re-run on every query — push/pop
-   deltas change the conjunct list, and the analysis is far cheaper than
-   even a cache hit on the encode path.                                *)
-
-let analyze t cs =
-  match t.absint with
-  | `Off -> None
-  | `On -> (
-    match Absint.analyze cs with
-    | Ok a ->
-      Absint.emit t.telemetry a;
-      Some a
-    | Error _ -> None)
-
-let forced_of = function Some a -> Absint.forced_bits a | None -> []
-
-(* ------------------------------------------------------------------ *)
-(* Encoding: per-conjunct cache, delta-patched merge                   *)
-
-let encode_cached t constr =
-  match Hashtbl.find_opt t.encode_cache constr with
-  | Some q ->
-    Telemetry.count t.telemetry "incr.encode_hit" 1;
-    q
-  | None ->
-    let q = Compile.to_qubo ?params:t.params ~telemetry:t.telemetry constr in
-    (* Gate each conjunct once, at insertion: everything later built
-       from cached parts is a sum of individually-vetted encodings. *)
-    (match t.lint with
-    | `Off -> ()
-    | (`Error | `Warning) as gate ->
-      Lint.gate_check ?config:t.lint_config ~telemetry:t.telemetry ~gate constr q);
-    Hashtbl.replace t.encode_cache constr q;
-    q
-
-(* Matrix-only re-check of a patched or re-merged conjunction QUBO.
-   The constraint-aware lint ran per part in [encode_cached]; what can
-   still go wrong in the sum is what a matrix alone reveals — non-finite
-   entries, dynamic range blowing past analog precision. Rejections
-   carry the first conjunct as the location anchor. *)
-let gate_merged t cs qubo =
-  match t.lint with
-  | `Off -> ()
-  | (`Error | `Warning) as gate ->
-    let config =
-      match t.lint_config with
-      | Some c -> c.Lint.analyze
-      | None -> Analyze.default_config
-    in
-    let findings = Analyze.check_finite qubo @ Analyze.check_dynamic_range ~config qubo in
-    let threshold = match gate with `Error -> 2 | `Warning -> 1 in
-    let rejected =
-      List.exists (fun f -> Analyze.severity_rank f.Analyze.severity >= threshold) findings
-    in
-    if rejected then begin
-      Telemetry.count t.telemetry "lint.rejected" 1;
-      raise (Lint.Rejected (List.hd cs, findings))
-    end
-
-(* [i] is a strict prefix of [cs] -> Some suffix, else None. *)
-let rec strict_prefix prev cs =
-  match (prev, cs) with
-  | [], [] -> None
-  | [], suffix -> Some suffix
-  | _, [] -> None
-  | p :: prev, c :: cs -> if p = c then strict_prefix prev cs else None
-
-(* The merged QUBO for [cs] (canonical conjunct order), with three
-   tiers: exact cache hit, coefficient patch of the previous merge
-   (strict-prefix extension), full re-merge from cached parts. All
-   three are bit-exact equal to [Joint.encode]'s result: the patch adds
-   coefficients in the same left-fold order the builder would, and the
-   re-merge goes through the same [Joint.merge_frozen]. *)
-let obtain t cs ~num_vars =
-  let fresh () =
-    let parts = List.map (encode_cached t) cs in
-    Telemetry.count t.telemetry "incr.remerged" 1;
-    Joint.merge_frozen ~num_vars parts
+(* One query through the pipeline with the session's state. A static
+   answer leaves the warm bits alone (no assignment was sampled); any
+   satisfying string becomes the next candidate model. The SMT-LIB
+   front end probes each check-sat, so the session takes no GC probe. *)
+let query t cs =
+  let* a =
+    Stage.run ~cache:t.encode_cache ?model:t.last_sat ?warm:t.warm ~probe:false t.config cs
   in
-  let qubo =
-    match t.merged with
-    | Some (prev_cs, prev_q) when prev_cs = cs && Qubo.num_vars prev_q = num_vars ->
-      Telemetry.count t.telemetry "incr.cache_hit" 1;
-      prev_q
-    | Some (prev_cs, prev_q) when Qubo.num_vars prev_q = num_vars -> begin
-      match strict_prefix prev_cs cs with
-      | None -> fresh ()
-      | Some suffix -> begin
-        let parts = List.map (encode_cached t) suffix in
-        match Qubo.patch_parts prev_q parts with
-        | Some (patched, coeffs) ->
-          Telemetry.count t.telemetry "incr.patched" 1;
-          Telemetry.count t.telemetry "incr.patched_coeffs" coeffs;
-          gate_merged t cs patched;
-          patched
-        | None -> fresh ()
-      end
-    end
-    | _ -> fresh ()
-  in
-  t.merged <- Some (cs, qubo);
-  qubo
-
-(* ------------------------------------------------------------------ *)
-(* Sampling with warm start + cold retry                               *)
-
-let warm_init t ~num_vars =
-  match t.warm with
-  | Some (n, bits) when n = num_vars -> Some (Bitvec.copy bits)
-  | _ -> None
-
-let note_warm t samples =
-  match Sampleset.best_opt samples with
-  | Some e -> t.warm <- Some (Bitvec.length e.Sampleset.bits, Bitvec.copy e.Sampleset.bits)
-  | None -> ()
-
-(* One sampler invocation; when [init] is present the run is a warm
-   re-solve: seeded from the previous best assignment and allowed to
-   early-exit on the first verified read. *)
-let sample t ?init ~verify qubo =
-  (match init with Some _ -> Telemetry.count t.telemetry "incr.warm_start" 1 | None -> ());
-  let early_exit = init <> None in
-  Sampler.run_detailed ~verify ?init ~early_exit ~telemetry:t.telemetry t.sampler qubo
-
-(* [sample] with the statically-forced codec bits clamped: the anneal
-   runs on the residual, warm-start assignments (always stored full
-   size) are projected onto it, and the returned set is lifted back to
-   full assignments — so warm/cold bookkeeping upstream never sees
-   residual coordinates. With no forced bits this is exactly [sample]. *)
-let sample_shrunk t ?init ~verify ~forced qubo =
-  match forced with
-  | [] -> sample t ?init ~verify qubo
-  | forced ->
-    Telemetry.count t.telemetry "absint.shrunk" 1;
-    let red = Qsmt_qubo.Preprocess.clamp qubo forced in
-    if Qsmt_qubo.Preprocess.num_free red = 0 then
-      (Sampleset.of_bits qubo [ Qsmt_qubo.Preprocess.expand red (Bitvec.create 0) ], None)
-    else begin
-      let free = Qsmt_qubo.Preprocess.free_indices red in
-      let init =
-        Option.map
-          (fun bits -> Bitvec.init (Array.length free) (fun r -> Bitvec.get bits free.(r)))
-          init
-      in
-      let verify_r bits = verify (Qsmt_qubo.Preprocess.expand red bits) in
-      let samples_r, hardware =
-        sample t ?init ~verify:verify_r (Qsmt_qubo.Preprocess.residual red)
-      in
-      (Solver.lift_samples ~qubo red samples_r, hardware)
-    end
-
-(* ------------------------------------------------------------------ *)
-(* Single-constraint queries (Generate / Locate)                       *)
-
-let pick_value ~verify constr samples =
-  let rec scan best = function
-    | [] -> begin
-      match best with
-      | Some (value, energy) -> (value, false, energy)
-      | None -> invalid_arg "Incremental: sampler returned an empty sample set"
-    end
-    | e :: rest ->
-      let value = Compile.decode constr e.Sampleset.bits in
-      if verify value then (value, true, e.Sampleset.energy)
-      else
-        let best =
-          match best with Some _ -> best | None -> Some (value, e.Sampleset.energy)
-        in
-        scan best rest
-  in
-  scan None (Sampleset.entries samples)
-
-let note_sat t value satisfied =
-  match (satisfied, value) with
+  if Option.is_none a.Stage.decided then
+    Option.iter
+      (fun e -> t.warm <- Some (Bitvec.copy e.Sampleset.bits))
+      (Sampleset.best_opt a.Stage.samples);
+  (match (a.Stage.satisfied, a.Stage.value) with
   | true, Constr.Str s -> t.last_sat <- Some s
-  | _ -> ()
-
-(* The previous satisfying string, when it still satisfies [constr] and
-   spans exactly its variables, short-circuits sampling entirely. *)
-let reuse_model t constr qubo =
-  match t.last_sat with
-  | Some s
-    when Qubo.num_vars qubo = 7 * String.length s && Constr.verify constr (Constr.Str s) ->
-    Telemetry.count t.telemetry "incr.model_reuse" 1;
-    let bits = Ascii7.encode s in
-    Some (Sampleset.of_bits qubo [ bits ], Constr.Str s)
-  | _ -> None
-
-let static_generate t constr analysis =
-  let value, satisfied =
-    match analysis.Absint.verdict with
-    | Absint.V_sat value -> (value, true)
-    | _ -> (
-      ((match constr with Constr.Includes _ -> Constr.Pos None | _ -> Constr.Str ""), false))
-  in
-  note_sat t value satisfied;
-  {
-    Solver.constr;
-    qubo = Qubo.freeze ~num_vars:(Constr.num_vars constr) (Qubo.builder ());
-    samples = Sampleset.empty;
-    value;
-    satisfied;
-    energy = 0.;
-    hardware = None;
-    decided = Some analysis;
-  }
+  | _ -> ());
+  Ok a
 
 let solve_generate t constr =
-  let analysis = analyze t [ constr ] in
-  match analysis with
-  | Some ({ Absint.verdict = Absint.V_sat _ | Absint.V_unsat _; _ } as a) ->
-    (* Decided before any encoding exists: the encode cache, domain
-       pool, and warm state are untouched. *)
-    static_generate t constr a
-  | None | Some { Absint.verdict = Absint.V_undecided; _ } -> (
-    let qubo = encode_cached t constr in
-    match reuse_model t constr qubo with
-    | Some (samples, value) ->
-      let energy = (Sampleset.best samples).Sampleset.energy in
-      { Solver.constr; qubo; samples; value; satisfied = true; energy; hardware = None;
-        decided = None }
-    | None ->
-      let forced = forced_of analysis in
-      let verify_value v = Constr.verify constr v in
-      let verify bits = verify_value (Compile.decode constr bits) in
-      let init = warm_init t ~num_vars:(Qubo.num_vars qubo) in
-      let samples, hardware = sample_shrunk t ?init ~verify ~forced qubo in
-      let value, satisfied, energy = pick_value ~verify:verify_value constr samples in
-      let samples, hardware, value, satisfied, energy =
-        if satisfied || init = None then (samples, hardware, value, satisfied, energy)
-        else begin
-          (* A failed warm run retries the exact cold configuration, so an
-             incremental verdict is never worse than a from-scratch one. *)
-          Telemetry.count t.telemetry "incr.cold_retry" 1;
-          let samples, hardware = sample_shrunk t ~verify ~forced qubo in
-          let value, satisfied, energy = pick_value ~verify:verify_value constr samples in
-          (samples, hardware, value, satisfied, energy)
-        end
-      in
-      note_warm t samples;
-      note_sat t value satisfied;
-      { Solver.constr; qubo; samples; value; satisfied; energy; hardware; decided = None })
-
-(* ------------------------------------------------------------------ *)
-(* Joint conjunction queries                                           *)
-
-let verdicts cs s = List.map (fun c -> (c, Constr.verify c (Constr.Str s))) cs
+  match query t [ constr ] with
+  | Ok a -> Solver.outcome_of constr a
+  | Error msg -> invalid_arg ("Incremental: " ^ msg)
 
 let solve_joint t cs =
-  let* length = Joint.common_length cs in
-  let num_vars = 7 * length in
-  let analysis = analyze t cs in
-  match analysis with
-  | Some ({ Absint.verdict = (Absint.V_sat _ | Absint.V_unsat _) as verdict; _ } as a) ->
-    (* Decided before any merge: encode cache, merged QUBO, and warm
-       state stay exactly as the previous query left them. *)
-    let outcome = Joint.static_outcome cs ~num_vars ~analysis:a verdict in
-    if outcome.Joint.satisfied then t.last_sat <- Some outcome.Joint.value;
-    Ok outcome
-  | None | Some { Absint.verdict = Absint.V_undecided; _ } -> (
-    let forced = forced_of analysis in
-    let qubo = obtain t cs ~num_vars in
-    let all_ok s = List.for_all (fun c -> Constr.verify c (Constr.Str s)) cs in
-    match t.last_sat with
-    | Some s when String.length s = length && all_ok s ->
-      Telemetry.count t.telemetry "incr.model_reuse" 1;
-      let samples = Sampleset.of_bits qubo [ Ascii7.encode s ] in
-      note_warm t samples;
-      Ok
-        { Joint.qubo; samples; value = s; satisfied = true; per_constraint = verdicts cs s;
-          decided = None }
-    | _ -> begin
-      let verify bits = all_ok (Ascii7.decode bits) in
-      let init = warm_init t ~num_vars in
-      let run init = fst (sample_shrunk t ?init ~verify ~forced qubo) in
-      let outcome_of samples =
-        let decoded =
-          List.map (fun e -> Ascii7.decode e.Sampleset.bits) (Sampleset.entries samples)
-        in
-        match decoded with
-        | [] -> Error "sampler returned an empty sample set"
-        | first :: _ -> begin
-          match List.find_opt all_ok decoded with
-          | Some s ->
-            Ok
-              ( samples,
-                { Joint.qubo; samples; value = s; satisfied = true;
-                  per_constraint = verdicts cs s; decided = None } )
-          | None ->
-            Ok
-              ( samples,
-                { Joint.qubo; samples; value = first; satisfied = false;
-                  per_constraint = verdicts cs first; decided = None } )
-        end
-      in
-      let* samples, outcome = outcome_of (run init) in
-      let* samples, outcome =
-        if outcome.Joint.satisfied || init = None then Ok (samples, outcome)
-        else begin
-          Telemetry.count t.telemetry "incr.cold_retry" 1;
-          outcome_of (run None)
-        end
-      in
-      note_warm t samples;
-      if outcome.Joint.satisfied then t.last_sat <- Some outcome.Joint.value;
-      Ok outcome
-    end)
+  let* _length = Joint.common_length cs in
+  Result.map (Joint.outcome_of cs) (query t cs)

@@ -1,7 +1,5 @@
 module Qubo = Qsmt_qubo.Qubo
-module Ascii7 = Qsmt_util.Ascii7
 module Sampleset = Qsmt_anneal.Sampleset
-module Sampler = Qsmt_anneal.Sampler
 
 let ( let* ) = Result.bind
 
@@ -34,24 +32,10 @@ let common_length cs =
         (Ok len) rest
   end
 
-(* The one true merge fold. The incremental solver re-merges cached
-   per-conjunct QUBOs through this exact function, so its result is
-   bit-exact equal to a full recompile by construction — float additions
-   happen in the same order, per coefficient slot. *)
-let merge_frozen ~num_vars parts =
-  let merged = Qubo.builder () in
-  List.iter
-    (fun q ->
-      Qubo.iter_linear q (fun i v -> Qubo.add merged i i v);
-      Qubo.iter_quadratic q (fun i j v -> Qubo.add merged i j v);
-      Qubo.add_offset merged (Qubo.offset q))
-    parts;
-  Qubo.freeze ~num_vars merged
-
 let encode ?params cs =
   let* length = common_length cs in
   let parts = List.map (fun c -> Compile.to_qubo ?params c) cs in
-  Ok (merge_frozen ~num_vars:(7 * length) parts, length)
+  Ok (Stage.merge_frozen ~num_vars:(7 * length) parts, length)
 
 type outcome = {
   qubo : Qubo.t;
@@ -62,96 +46,28 @@ type outcome = {
   decided : Absint.analysis option;
 }
 
-let verdicts cs s = List.map (fun c -> (c, Constr.verify c (Constr.Str s))) cs
-
-(* Static outcomes carry an empty placeholder QUBO over the right
-   variable count and an empty sample set: no encoding was merged, no
-   sampler ran, zero reads. *)
-let static_outcome cs ~num_vars ~analysis verdict =
-  let qubo = Qubo.freeze ~num_vars (Qubo.builder ()) in
-  match verdict with
-  | Absint.V_sat (Constr.Str s) ->
-    {
-      qubo;
-      samples = Sampleset.empty;
-      value = s;
-      satisfied = true;
-      per_constraint = verdicts cs s;
-      decided = Some analysis;
-    }
-  | _ ->
-    (* unsat: no value exists; every conjunct is reported unsatisfied *)
-    {
-      qubo;
-      samples = Sampleset.empty;
-      value = "";
-      satisfied = false;
-      per_constraint = List.map (fun c -> (c, false)) cs;
-      decided = Some analysis;
-    }
+let outcome_of cs (a : Stage.answer) =
+  let value = match a.Stage.value with Constr.Str s -> s | Constr.Pos _ -> "" in
+  let per_constraint =
+    match a.Stage.decided with
+    | Some { Absint.verdict = Absint.V_unsat _; _ } ->
+      (* no value exists: every conjunct is reported unsatisfied *)
+      List.map (fun c -> (c, false)) cs
+    | _ -> List.map (fun c -> (c, Constr.verify c (Constr.Str value))) cs
+  in
+  {
+    qubo = a.Stage.qubo;
+    samples = a.Stage.samples;
+    value;
+    satisfied = a.Stage.satisfied;
+    per_constraint;
+    decided = a.Stage.decided;
+  }
 
 let solve ?params ?sampler ?(absint = `On) ?(telemetry = Qsmt_util.Telemetry.null) cs =
   let sampler =
     match sampler with Some s -> s | None -> Solver.default_sampler ~seed:0
   in
-  let* length = common_length cs in
-  let analysis =
-    match absint with
-    | `Off -> None
-    | `On -> (
-      match Absint.analyze cs with
-      | Ok a ->
-        Absint.emit telemetry a;
-        Some a
-      | Error _ -> None)
-  in
-  match analysis with
-  | Some ({ Absint.verdict = (Absint.V_sat _ | Absint.V_unsat _) as verdict; _ } as a) ->
-    Ok (static_outcome cs ~num_vars:(7 * length) ~analysis:a verdict)
-  | None | Some { Absint.verdict = Absint.V_undecided; _ } -> (
-    let* qubo, _length = encode ?params cs in
-    let all_ok s = List.for_all (fun c -> Constr.verify c (Constr.Str s)) cs in
-    let samples =
-      match Option.map Absint.forced_bits analysis with
-      | None | Some [] -> Sampler.run ~telemetry sampler qubo
-      | Some forced ->
-        Qsmt_util.Telemetry.count telemetry "absint.shrunk" 1;
-        let red = Qsmt_qubo.Preprocess.clamp qubo forced in
-        if Qsmt_qubo.Preprocess.num_free red = 0 then
-          Sampleset.of_bits qubo
-            [ Qsmt_qubo.Preprocess.expand red (Qsmt_util.Bitvec.create 0) ]
-        else
-          let verify bits =
-            all_ok (Ascii7.decode (Qsmt_qubo.Preprocess.expand red bits))
-          in
-          Solver.lift_samples ~qubo red
-            (Sampler.run ~verify ~telemetry sampler (Qsmt_qubo.Preprocess.residual red))
-    in
-    let decoded =
-      List.map (fun e -> Ascii7.decode e.Sampleset.bits) (Sampleset.entries samples)
-    in
-    match decoded with
-    | [] -> Error "sampler returned an empty sample set"
-    | first :: _ -> begin
-      match List.find_opt all_ok decoded with
-      | Some s ->
-        Ok
-          {
-            qubo;
-            samples;
-            value = s;
-            satisfied = true;
-            per_constraint = verdicts cs s;
-            decided = None;
-          }
-      | None ->
-        Ok
-          {
-            qubo;
-            samples;
-            value = first;
-            satisfied = false;
-            per_constraint = verdicts cs first;
-            decided = None;
-          }
-    end)
+  let* _length = common_length cs in
+  let config = { Stage.params; sampler; lint = `Off; lint_config = None; absint; telemetry } in
+  Result.map (outcome_of cs) (Stage.run ~probe:true config cs)

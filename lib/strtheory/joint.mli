@@ -25,18 +25,13 @@ val common_length : Constr.t list -> (int, string) result
     isn't one (empty list, an {!Constr.Includes}, disagreeing lengths,
     a failed validation). *)
 
-val merge_frozen : num_vars:int -> Qsmt_qubo.Qubo.t list -> Qsmt_qubo.Qubo.t
-(** [merge_frozen ~num_vars parts] adds the parts' coefficient matrices
-    and offsets (in list order) and freezes over [num_vars] variables.
-    This is {e the} merge fold: {!encode} goes through it, and the
-    incremental solver re-merges cached per-conjunct encodings through it
-    so the result is bit-exact identical to a full recompile. *)
-
 val encode : ?params:Params.t -> Constr.t list -> (Qsmt_qubo.Qubo.t * int, string) result
-(** [encode cs] merges the encodings; the result's second component is
-    the common string length. [Error] if the list is empty, a conjunct
-    is {!Constr.Includes}, lengths disagree, or any conjunct fails its
-    own validation. *)
+(** [encode cs] merges the encodings through {!Stage.merge_frozen} — the
+    fold every multi-conjunct {!Stage.run} uses, so a session's merge of
+    cached parts is bit-exact identical to this one. The result's second
+    component is the common string length. [Error] if the list is empty,
+    a conjunct is {!Constr.Includes}, lengths disagree, or any conjunct
+    fails its own validation. *)
 
 type outcome = {
   qubo : Qsmt_qubo.Qubo.t;
@@ -51,16 +46,9 @@ type outcome = {
           reported unsatisfied. A static unsat is a proof. *)
 }
 
-val static_outcome :
-  Constr.t list ->
-  num_vars:int ->
-  analysis:Absint.analysis ->
-  Absint.verdict ->
-  outcome
-(** The outcome shape of a statically-decided conjunction (shared with
-    {!Incremental}): empty placeholder QUBO over [num_vars], empty
-    sample set, and either the verified candidate ([V_sat]) or the
-    all-unsatisfied unsat report. *)
+val outcome_of : Constr.t list -> Stage.answer -> outcome
+(** The outcome of a conjunction's {!Stage.run} answer (shared with
+    {!Incremental}). *)
 
 val solve :
   ?params:Params.t ->
@@ -69,9 +57,11 @@ val solve :
   ?telemetry:Qsmt_util.Telemetry.t ->
   Constr.t list ->
   (outcome, string) result
-(** Samples once over the merged QUBO and scans in energy order for the
-    first string satisfying {e all} conjuncts; if none does, the
-    lowest-energy decode is reported with its per-conjunct verdicts.
+(** {!Stage.run} over the conjunction: samples once over the merged QUBO
+    and scans in energy order for the first string satisfying {e all}
+    conjuncts; if none does, the lowest-energy decode is reported with
+    its per-conjunct verdicts. [telemetry] gets the span tree, counters
+    and GC probe of {!Solver.solve_timed}.
 
     [absint] (default [`On]) runs {!Absint.analyze} over the conjunction
     first: a static verdict skips merging and sampling entirely, and an

@@ -1,15 +1,11 @@
-module Sampleset = Qsmt_anneal.Sampleset
 module Sampler = Qsmt_anneal.Sampler
 module Sa = Qsmt_anneal.Sa
 module Parallel = Qsmt_util.Parallel
-module Telemetry = Qsmt_util.Telemetry
-module Qubo = Qsmt_qubo.Qubo
-module Preprocess = Qsmt_qubo.Preprocess
 
 type outcome = {
   constr : Constr.t;
   qubo : Qsmt_qubo.Qubo.t;
-  samples : Sampleset.t;
+  samples : Qsmt_anneal.Sampleset.t;
   value : Constr.value;
   satisfied : bool;
   energy : float;
@@ -17,7 +13,7 @@ type outcome = {
   decided : Absint.analysis option;
 }
 
-type stage_timing = {
+type stage_timing = Stage.timing = {
   encode_s : float;
   sample_s : float;
   decode_s : float;
@@ -27,194 +23,28 @@ type stage_timing = {
 let default_sampler ~seed =
   Sampler.simulated_annealing ~params:{ Sa.default with Sa.seed } ()
 
-let pick_value ~verify constr samples =
-  (* First (= lowest-energy) sample whose decode verifies; otherwise the
-     overall best sample. Decoding is lazy — the seed revision decoded
-     every entry up front, so a best read that verifies immediately still
-     paid for the whole set; now it costs exactly one decode. *)
-  let rec scan best = function
-    | [] -> begin
-      match best with
-      | Some (value, energy) -> (value, false, energy)
-      | None -> invalid_arg "Solver: sampler returned an empty sample set"
-    end
-    | e :: rest ->
-      let value = Compile.decode constr e.Sampleset.bits in
-      if verify value then (value, true, e.Sampleset.energy)
-      else
-        let best =
-          match best with Some _ -> best | None -> Some (value, e.Sampleset.energy)
-        in
-        scan best rest
-  in
-  scan None (Sampleset.entries samples)
+let lift_samples = Stage.lift_samples
 
-let now () = Unix.gettimeofday ()
-
-(* Lift a residual sample set back over the original variables,
-   recomputing each energy against the full QUBO so shrunk and unshrunk
-   solves report identical energies for identical assignments (the
-   residual's folded offset is equal only up to float association). *)
-let lift_samples ~qubo red samples =
-  Sampleset.of_entries
-    (List.map
-       (fun e ->
-         let bits = Preprocess.expand red e.Sampleset.bits in
-         {
-           Sampleset.bits;
-           energy = Qubo.energy qubo bits;
-           occurrences = e.Sampleset.occurrences;
-         })
-       (Sampleset.entries samples))
-
-let run_absint ~telemetry cs =
-  match Absint.analyze cs with
-  | Ok a ->
-    Absint.emit telemetry a;
-    Some a
-  | Error _ -> None
+let outcome_of constr (a : Stage.answer) =
+  {
+    constr;
+    qubo = a.Stage.qubo;
+    samples = a.Stage.samples;
+    value = a.Stage.value;
+    satisfied = a.Stage.satisfied;
+    energy = a.Stage.energy;
+    hardware = a.Stage.hardware;
+    decided = a.Stage.decided;
+  }
 
 let solve_timed ?params ?sampler ?(lint = `Off) ?lint_config ?(absint = `On)
-    ?(telemetry = Telemetry.null) constr =
+    ?(telemetry = Qsmt_util.Telemetry.null) constr =
   let sampler = match sampler with Some s -> s | None -> default_sampler ~seed:0 in
-  (* Verification happens in two places — inside the sampler (the
-     portfolio's early-exit callback, possibly from several domains at
-     once) and in the decode scan below — so its cost is accumulated
-     under a mutex rather than read off wall-clock checkpoints.
-     [sample_s] stays raw sampler wall time; [verify_s] is the total
-     verification work wherever it ran; [decode_s] is the decode scan
-     minus its share of the verify time. *)
-  let verify_mutex = Mutex.create () in
-  let verify_total = ref 0. in
-  let timed dt =
-    Mutex.lock verify_mutex;
-    verify_total := !verify_total +. dt;
-    Mutex.unlock verify_mutex
-  in
-  let verify_value value =
-    let s = now () in
-    let ok = Constr.verify constr value in
-    timed (now () -. s);
-    ok
-  in
-  let solve_span = Telemetry.span telemetry "solve" in
-  (* GC pressure probe for the whole solve span: encode + sample +
-     decode dominate this process's allocation, and the delta lands in
-     gc.* counters/histograms plus one gc.delta event on the span. *)
-  Telemetry.with_gc_probe telemetry ~span:solve_span @@ fun () ->
-  (* Pre-encode abstract interpretation: a static verdict returns
-     before any QUBO exists — no encoding, no domain pool, no sampler
-     reads. An undecided analysis still pays off below by clamping the
-     codec bits it proved forced. [`Off] is bit-exact today's path. *)
-  let analysis =
-    match absint with
-    | `Off -> None
-    | `On ->
-      Telemetry.with_span telemetry ~parent:solve_span "absint" (fun _ ->
-          run_absint ~telemetry [ constr ])
-  in
-  let static value satisfied =
-    if Telemetry.enabled telemetry then begin
-      Telemetry.count telemetry "solve.constraints" 1;
-      Telemetry.emit telemetry ~span:solve_span "solve.done"
-        [
-          ("op", Telemetry.Str (Compile.op_name constr));
-          ("satisfied", Telemetry.Bool satisfied);
-          ("energy", Telemetry.Float 0.);
-          ("reads", Telemetry.Int 0);
-        ]
-    end;
-    Telemetry.finish telemetry solve_span;
-    ( {
-        constr;
-        qubo = Qubo.freeze ~num_vars:(Constr.num_vars constr) (Qubo.builder ());
-        samples = Sampleset.empty;
-        value;
-        satisfied;
-        energy = 0.;
-        hardware = None;
-        decided = analysis;
-      },
-      { encode_s = 0.; sample_s = 0.; decode_s = 0.; verify_s = 0. } )
-  in
-  match analysis with
-  | Some { Absint.verdict = Absint.V_sat value; _ } -> static value true
-  | Some { Absint.verdict = Absint.V_unsat _; _ } ->
-    let value =
-      match constr with Constr.Includes _ -> Constr.Pos None | _ -> Constr.Str ""
-    in
-    static value false
-  | None | Some { Absint.verdict = Absint.V_undecided; _ } ->
-  let t0 = now () in
-  let qubo =
-    Telemetry.with_span telemetry ~parent:solve_span "encode" (fun _ ->
-        Compile.to_qubo ?params ~telemetry constr)
-  in
-  let t1 = now () in
-  (* Optional pre-sample gate: reject statically-broken encodings before
-     any annealing time is spent. Raises [Lint.Rejected]. *)
-  (match lint with
-  | `Off -> ()
-  | (`Error | `Warning) as gate ->
-    Telemetry.with_span telemetry ~parent:solve_span "lint" (fun _ ->
-        Lint.gate_check ?config:lint_config ~telemetry ~gate constr qubo));
-  (* The verifier lets portfolio samplers exit as soon as any read
-     decodes to a satisfying value; deterministic samplers ignore it. *)
-  let verify bits =
-    let s = now () in
-    let value = Compile.decode constr bits in
-    timed (now () -. s);
-    verify_value value
-  in
-  let forced = match analysis with Some a -> Absint.forced_bits a | None -> [] in
-  let samples, hardware =
-    Telemetry.with_span telemetry ~parent:solve_span "sample" (fun _ ->
-        match forced with
-        | [] -> Sampler.run_detailed ~verify ~telemetry sampler qubo
-        | forced ->
-          (* Clamp the statically-forced bits and anneal only the free
-             subspace; samples lift back to full assignments before the
-             decode scan, so everything downstream is unchanged. *)
-          Telemetry.count telemetry "absint.shrunk" 1;
-          let red = Preprocess.clamp qubo forced in
-          if Preprocess.num_free red = 0 then
-            ( Sampleset.of_bits qubo
-                [ Preprocess.expand red (Qsmt_util.Bitvec.create 0) ],
-              None )
-          else begin
-            let verify_r bits = verify (Preprocess.expand red bits) in
-            let samples_r, hardware =
-              Sampler.run_detailed ~verify:verify_r ~telemetry sampler
-                (Preprocess.residual red)
-            in
-            (lift_samples ~qubo red samples_r, hardware)
-          end)
-  in
-  let t2 = now () in
-  let verify_before_pick = !verify_total in
-  let value, satisfied, energy =
-    Telemetry.with_span telemetry ~parent:solve_span "decode" (fun _ ->
-        pick_value ~verify:verify_value constr samples)
-  in
-  let t3 = now () in
-  if Telemetry.enabled telemetry then begin
-    Telemetry.count telemetry "solve.constraints" 1;
-    Telemetry.emit telemetry ~span:solve_span "solve.done"
-      [
-        ("op", Telemetry.Str (Compile.op_name constr));
-        ("satisfied", Telemetry.Bool satisfied);
-        ("energy", Telemetry.Float energy);
-        ("reads", Telemetry.Int (Sampleset.total_reads samples));
-      ]
-  end;
-  Telemetry.finish telemetry solve_span;
-  ( { constr; qubo; samples; value; satisfied; energy; hardware; decided = None },
-    {
-      encode_s = t1 -. t0;
-      sample_s = t2 -. t1;
-      decode_s = t3 -. t2 -. (!verify_total -. verify_before_pick);
-      verify_s = !verify_total;
-    } )
+  match
+    Stage.run ~probe:true { Stage.params; sampler; lint; lint_config; absint; telemetry } [ constr ]
+  with
+  | Ok a -> (outcome_of constr a, a.Stage.timing)
+  | Error msg -> invalid_arg ("Solver: " ^ msg)
 
 let solve ?params ?sampler ?lint ?lint_config ?absint ?telemetry constr =
   fst (solve_timed ?params ?sampler ?lint ?lint_config ?absint ?telemetry constr)

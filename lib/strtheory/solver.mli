@@ -1,10 +1,10 @@
 (** The quantum-annealing string solver (Figure 1 end to end).
 
     Encode the constraint to QUBO, hand it to a sampler, decode samples
-    back to values, verify classically. The returned {!outcome} keeps
-    every intermediate artifact so callers (CLI, benches, tests) can
-    inspect the pipeline the way the paper's Table 1 presents it:
-    constraint → matrix → output. *)
+    back to values, verify classically: {!Stage.run} over a conjunction
+    of one. The returned {!outcome} keeps every intermediate artifact so
+    callers (CLI, benches, tests) can inspect the pipeline the way the
+    paper's Table 1 presents it: constraint → matrix → output. *)
 
 type outcome = {
   constr : Constr.t;
@@ -26,18 +26,13 @@ type outcome = {
           here is a proof, unlike an ordinary [satisfied = false]. *)
 }
 
-type stage_timing = {
-  encode_s : float;  (** wall-clock seconds building the QUBO *)
+type stage_timing = Stage.timing = {
+  encode_s : float;
   sample_s : float;
-      (** annealing, raw wall time (includes any in-sampler verification
-          a portfolio's early-exit callback performed) *)
   decode_s : float;
-      (** the decode scan over the sample set, verification excluded *)
   verify_s : float;
-      (** total verification work — the sampler's early-exit callbacks
-          (decode + check, previously hidden inside [sample_s]) plus the
-          checks of the decode scan, accumulated across domains *)
 }
+(** Per-stage seconds on the monotonic clock; see {!Stage.timing}. *)
 
 val default_sampler : seed:int -> Qsmt_anneal.Sampler.t
 (** Simulated annealing, 32 reads × 1000 sweeps — the configuration the
@@ -48,11 +43,11 @@ val lift_samples :
   Qsmt_qubo.Preprocess.t ->
   Qsmt_anneal.Sampleset.t ->
   Qsmt_anneal.Sampleset.t
-(** Shared plumbing of the absint shrink path (also used by {!Joint} and
-    {!Incremental}): expands every residual entry through
-    {!Qsmt_qubo.Preprocess.expand} and recomputes its energy on the full
-    [qubo], so shrunk solves report energies bit-identical to what an
-    unshrunk solve would report for the same assignments. *)
+(** {!Stage.lift_samples}: the lift step of the absint shrink path. *)
+
+val outcome_of : Constr.t -> Stage.answer -> outcome
+(** The outcome of one constraint's {!Stage.run} answer (shared with
+    {!Incremental}). *)
 
 val solve :
   ?params:Params.t ->
@@ -82,19 +77,17 @@ val solve_timed :
   ?telemetry:Qsmt_util.Telemetry.t ->
   Constr.t ->
   outcome * stage_timing
-(** {!solve} plus per-stage wall-clock timing (the Figure 1 trace).
-    Passes the constraint verifier down to the sampler so portfolio
-    samplers can early-exit on the first satisfying read. The lint gate
-    (when on) runs inside the [solve] span as a [lint] child; its cost is
-    not attributed to any of the four timing buckets.
+(** {!solve} plus per-stage timing (the Figure 1 trace). Passes the
+    constraint verifier down to the sampler so portfolio samplers can
+    early-exit on the first satisfying read. The lint gate (when on) runs
+    inside the [solve] span as a [lint] child; its cost is not attributed
+    to any of the four timing buckets.
 
-    [telemetry] wraps the whole call in a [solve] span with [encode] /
-    [sample] / [decode] children, shares the handle with the encoder (per
-    operator counters) and the sampler (sweep streams, portfolio
-    lifecycle), and emits one [solve.done] event (op, satisfied, energy,
-    reads) plus a [solve.constraints] counter. Instrumentation never
-    consumes PRNG values, so the outcome is identical with or without
-    it. *)
+    [telemetry] gets the {!Stage.run} span tree and counters, is shared
+    with the encoder (per operator counters) and the sampler (sweep
+    streams, portfolio lifecycle), and takes one GC probe ([gc.*]) around
+    the call. Instrumentation never consumes PRNG values, so the outcome
+    is identical with or without it. *)
 
 val solve_batch :
   ?params:Params.t ->

@@ -317,9 +317,14 @@ let finish t sp =
           r := (n + 1, total +. dur)
         | None -> Hashtbl.replace t.span_agg sp.sname (ref (1, dur)))
 
+(* The null handle skips the [Fun.protect] frame: there is nothing to
+   finish, and every SMT-LIB query brackets its stages this way. *)
 let with_span t ?parent name f =
-  let sp = span t ?parent name in
-  Fun.protect ~finally:(fun () -> finish t sp) (fun () -> f sp)
+  if not (enabled t) then f no_span
+  else begin
+    let sp = span t ?parent name in
+    Fun.protect ~finally:(fun () -> finish t sp) (fun () -> f sp)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate read-back and flush *)

@@ -651,6 +651,30 @@ let test_joint_reports_per_constraint_failures () =
     check Alcotest.bool "at least one conjunct fails" true
       (List.exists (fun (_, ok) -> not ok) o.Joint.per_constraint)
 
+let test_joint_verifier_reaches_sampler () =
+  (* The verifier reaches the sampler whether or not absint clamped any
+     bits: with absint off (nothing clamped) a one-member portfolio still
+     stops at its first verified read and names a winner. *)
+  let telemetry = Qsmt_util.Telemetry.collector () in
+  let portfolio =
+    Sampler.portfolio
+      ~params:
+        {
+          Qsmt_anneal.Portfolio.default with
+          Qsmt_anneal.Portfolio.members = [ Qsmt_anneal.Portfolio.M_sa Sa.default ];
+          jobs = 1;
+        }
+      ()
+  in
+  let conjuncts = [ Constr.Palindrome { length = 4 }; Constr.Contains { length = 4; substring = "ab" } ] in
+  (match Joint.solve ~sampler:portfolio ~absint:`Off ~telemetry conjuncts with
+  | Error e -> Alcotest.failf "solve failed: %s" e
+  | Ok o -> check Alcotest.bool "satisfied" true o.Joint.satisfied);
+  check Alcotest.bool "portfolio.winner emitted" true
+    (List.exists
+       (fun e -> e.Qsmt_util.Telemetry.ev = "portfolio.winner")
+       (Qsmt_util.Telemetry.events telemetry))
+
 (* ------------------------------------------------------------------ *)
 (* Workload generator *)
 
@@ -903,6 +927,8 @@ let () =
           Alcotest.test_case "regex + palindrome" `Quick test_joint_solve_regex_and_palindrome;
           Alcotest.test_case "per-constraint verdicts" `Quick
             test_joint_reports_per_constraint_failures;
+          Alcotest.test_case "verifier reaches sampler" `Quick
+            test_joint_verifier_reaches_sampler;
         ] );
       ( "workload",
         [
