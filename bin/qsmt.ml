@@ -92,34 +92,6 @@ let budget_arg =
     & info [ "budget" ] ~docv:"SECONDS"
         ~doc:"Per-member wall-clock budget for the portfolio sampler; members exceeding it are cancelled cooperatively.")
 
-let decompose_arg =
-  Arg.(
-    value & flag
-    & info [ "decompose" ]
-        ~doc:
-          "Solve through qbsolv-style decomposition: shard the interaction graph into \
-           subproblems of at most $(b,--subsize) variables, solve shards concurrently with the \
-           selected sampler, and iterate the boundary spins to convergence. Problems already \
-           fitting one shard bypass decomposition and run the sampler unchanged (bit-identical \
-           samples). Not available with $(b,--sampler classical).")
-
-let subsize_arg =
-  let positive_int =
-    let parse s =
-      match int_of_string_opt s with
-      | Some n when n >= 1 -> Ok n
-      | Some _ -> Error (`Msg "subsize must be >= 1")
-      | None -> Error (`Msg (s ^ " is not an integer"))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(
-    value & opt positive_int 48
-    & info [ "subsize" ] ~docv:"N"
-        ~doc:
-          "Largest decomposition shard, in variables (with $(b,--decompose); default 48). Also \
-           the fit-in-one-shard threshold below which decomposition is bypassed.")
-
 let sampler_arg =
   let choices =
     [ ("sa", `Sa); ("sqa", `Sqa); ("tabu", `Tabu); ("greedy", `Greedy); ("exact", `Exact);
@@ -413,9 +385,8 @@ let with_telemetry ~trace ~metrics ?(metrics_out = None) ?(progress = false) ?tt
    coming here — it is a different solver family, not a sampler, and an
    earlier revision silently handed such requests to [Sampler.exact]. *)
 let build_sampler kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology ~topology_size
-    ~chain_strength ~noise ~packed ~decompose ~subsize =
-  let base =
-    match kind with
+    ~chain_strength ~noise ~packed =
+  match kind with
   | `Sa ->
     let params = { Sa.default with Sa.seed; reads; sweeps; domains } in
     if packed then Sampler.simulated_annealing_packed ~params ()
@@ -455,12 +426,6 @@ let build_sampler kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology ~to
     in
     Sampler.portfolio ~params:{ Portfolio.members; jobs; budget } ()
   | `Classical -> invalid_arg "build_sampler: classical is not a sampler"
-  in
-  if decompose then
-    Sampler.decomposed
-      ~params:{ Qsmt_qubo.Decompose.default with Qsmt_qubo.Decompose.subsize; jobs; seed }
-      base
-  else base
 
 (* CDCL bit-blasting as an SMT-LIB theory backend: complete on the
    supported fragment, so (unlike the samplers) it may answer `Unsat.
@@ -607,8 +572,8 @@ let absint_summary ppf (a : Absint.analysis) =
     a.Absint.iterations a.Absint.facts (Absint.num_fixed_positions a) a.Absint.length
 
 let gen_action op args sampler_kind seed reads sweeps domains packed jobs budget topology
-    topology_size chain_strength noise decompose subsize show_matrix param_assigns lint_level
-    no_absint trace metrics metrics_out =
+    topology_size chain_strength noise show_matrix param_assigns lint_level no_absint trace
+    metrics metrics_out =
   let params = params_of_assignments param_assigns in
   match constraint_of_op op args with
   | Error (`Msg m) ->
@@ -637,7 +602,7 @@ let gen_action op args sampler_kind seed reads sweeps domains packed jobs budget
       else begin
         let sampler =
           build_sampler sampler_kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology
-            ~topology_size ~chain_strength ~noise ~packed ~decompose ~subsize
+            ~topology_size ~chain_strength ~noise ~packed
         in
         let absint = if no_absint then `Off else `On in
         let result =
@@ -700,8 +665,8 @@ let gen_cmd =
     Term.(
       const gen_action $ op_arg $ op_args $ sampler_arg $ seed_arg $ reads_arg $ sweeps_arg
       $ domains_arg $ packed_arg $ jobs_arg $ budget_arg $ topology_arg $ topology_size_arg
-      $ chain_strength_arg $ noise_arg $ decompose_arg $ subsize_arg $ show_matrix $ param_arg
-      $ lint_level_arg $ no_absint_arg $ trace_arg $ metrics_arg $ metrics_out_arg)
+      $ chain_strength_arg $ noise_arg $ show_matrix $ param_arg $ lint_level_arg $ no_absint_arg
+      $ trace_arg $ metrics_arg $ metrics_out_arg)
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a string (or position) satisfying one operation."
@@ -1201,8 +1166,7 @@ let matrix_cmd =
 (* run *)
 
 let run_action path sampler_kind seed reads sweeps domains packed jobs budget topology
-    topology_size chain_strength noise decompose subsize no_absint trace metrics metrics_out
-    progress =
+    topology_size chain_strength noise no_absint trace metrics metrics_out progress =
   let source =
     if path = "-" then In_channel.input_all In_channel.stdin
     else In_channel.with_open_text path In_channel.input_all
@@ -1215,7 +1179,7 @@ let run_action path sampler_kind seed reads sweeps domains packed jobs budget to
         | _ ->
           let sampler =
             build_sampler sampler_kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology
-              ~topology_size ~chain_strength ~noise ~packed ~decompose ~subsize
+              ~topology_size ~chain_strength ~noise ~packed
           in
           Interp.run_string ~sampler ~absint ~telemetry source)
   in
@@ -1236,8 +1200,7 @@ let run_cmd =
     Term.(
       const run_action $ path $ sampler_arg $ seed_arg $ reads_arg $ sweeps_arg $ domains_arg
       $ packed_arg $ jobs_arg $ budget_arg $ topology_arg $ topology_size_arg $ chain_strength_arg
-      $ noise_arg $ decompose_arg $ subsize_arg $ no_absint_arg $ trace_arg $ metrics_arg
-      $ metrics_out_arg $ progress_arg)
+      $ noise_arg $ no_absint_arg $ trace_arg $ metrics_arg $ metrics_out_arg $ progress_arg)
 
 (* ------------------------------------------------------------------ *)
 (* repl *)
@@ -1249,14 +1212,14 @@ let run_cmd =
    commands, and recovers from errors instead of aborting the way
    `qsmt run` does. *)
 let repl_action sampler_kind seed reads sweeps domains packed jobs budget topology
-    topology_size chain_strength noise decompose subsize no_absint =
+    topology_size chain_strength noise no_absint =
   let st =
     match sampler_kind with
     | `Classical -> Interp.create ~backend:(classical_backend ()) ()
     | _ ->
       let sampler =
         build_sampler sampler_kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology
-          ~topology_size ~chain_strength ~noise ~packed ~decompose ~subsize
+          ~topology_size ~chain_strength ~noise ~packed
       in
       Interp.create ~sampler ~absint:(if no_absint then `Off else `On) ()
   in
@@ -1357,7 +1320,7 @@ let repl_cmd =
     Term.(
       const repl_action $ sampler_arg $ seed_arg $ reads_arg $ sweeps_arg $ domains_arg
       $ packed_arg $ jobs_arg $ budget_arg $ topology_arg $ topology_size_arg $ chain_strength_arg
-      $ noise_arg $ decompose_arg $ subsize_arg $ no_absint_arg)
+      $ noise_arg $ no_absint_arg)
 
 (* ------------------------------------------------------------------ *)
 (* export *)
@@ -1455,8 +1418,7 @@ let trace_cmd =
           ~doc:
             "After validating, also convert the trace to Chrome trace-event JSON at $(docv) — \
              loadable in Perfetto (ui.perfetto.dev) or chrome://tracing; spans become nested \
-             slices, overlapping spans (portfolio members, decomposer shards) get their own \
-             lanes.")
+             slices, overlapping spans (portfolio members) get their own lanes.")
   in
   Cmd.v
     (Cmd.info "trace"
@@ -1524,9 +1486,6 @@ let samplers_action () =
     "portfolio  race sa/sqa/pt/tabu/greedy concurrently; first verified read wins (--packed adds \
      an sa_packed member)";
   print_endline "classical  CDCL SAT solver over bit-blasted constraints (complete)";
-  print_endline
-    "           (--decompose wraps any sampler but classical: qbsolv-style sharding for \
-     problems past one embedding)";
   0
 
 let samplers_cmd =

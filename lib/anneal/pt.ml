@@ -4,7 +4,6 @@ module Parallel = Qsmt_util.Parallel
 module Telemetry = Qsmt_util.Telemetry
 module Qubo = Qsmt_qubo.Qubo
 module Ising = Qsmt_qubo.Ising
-module Fields = Qsmt_qubo.Fields
 module Multispin = Qsmt_qubo.Multispin
 
 type params = {
@@ -28,16 +27,15 @@ let default =
     domains = 1;
   }
 
-(* Packed path: the temperature ladder becomes the lane dimension of one
+(* One read: the temperature ladder becomes the lane dimension of one
    {!Multispin} state — replicas at different rungs never interact
    through spins, so a word-wide accept decision per site is exact
    Metropolis for all of them at once (unlike SQA's coupled slices, no
    colored passes are needed). A replica exchange swaps which rung a lane
    answers to, not the configurations: two permutation arrays
    ([lane_of_temp] and the per-lane beta vector fed to the accept mask)
-   make a swap O(1) bookkeeping, the packed analogue of the scalar
-   path's Fields-handle exchange. *)
-let run_read_packed ~ising ~params ~betas ?init ?stop ?on_sweep rng =
+   make a swap O(1) bookkeeping. *)
+let run_read ~ising ~params ~betas ?init ?stop ?on_sweep rng =
   let stopped () = match stop with Some f -> f () | None -> false in
   let n = Ising.num_spins ising in
   let k = Array.length betas in
@@ -96,68 +94,12 @@ let run_read_packed ~ising ~params ~betas ?init ?stop ?on_sweep rng =
   done;
   (!best, !best_e)
 
-let run_read ~ising ~params ~betas ?init ?stop ?on_sweep rng =
-  let stopped () = match stop with Some f -> f () | None -> false in
-  let n = Ising.num_spins ising in
-  let k = Array.length betas in
-  (* replica r runs at betas.(r); we swap configurations, not
-     temperatures, so the array stays temperature-indexed. Each replica
-     owns an incremental Fields state, so a temperature swap is a handle
-     exchange — no energy or field recomputation. *)
-  let start _ =
-    match init with Some b -> Bitvec.copy b | None -> Bitvec.random rng n
-  in
-  let replicas = Array.init k (fun r -> Fields.create ising (start r)) in
-  let best = ref (Bitvec.copy (Fields.spins replicas.(k - 1))) in
-  let best_e = ref (Fields.energy replicas.(k - 1)) in
-  let note_best r =
-    if Fields.energy replicas.(r) < !best_e then begin
-      best_e := Fields.energy replicas.(r);
-      best := Bitvec.copy (Fields.spins replicas.(r))
-    end
-  in
-  let sweep = ref 0 in
-  while !sweep < params.sweeps && not (stopped ()) do
-    incr sweep;
-    let sweep = !sweep in
-    for r = 0 to k - 1 do
-      let beta = betas.(r) in
-      let f = replicas.(r) in
-      for i = 0 to n - 1 do
-        let delta = Fields.delta f i in
-        if delta <= 0. || Prng.float rng < Float.exp (-.beta *. delta) then Fields.flip f i
-      done;
-      note_best r
-    done;
-    let swaps = ref 0 in
-    if sweep mod params.exchange_interval = 0 then begin
-      (* alternate even/odd neighbor pairs to keep proposals independent *)
-      let parity = sweep / params.exchange_interval mod 2 in
-      let r = ref parity in
-      while !r + 1 < k do
-        let a = !r and b = !r + 1 in
-        let log_ratio =
-          (betas.(a) -. betas.(b)) *. (Fields.energy replicas.(a) -. Fields.energy replicas.(b))
-        in
-        if log_ratio >= 0. || Prng.float rng < Float.exp log_ratio then begin
-          let tmp = replicas.(a) in
-          replicas.(a) <- replicas.(b);
-          replicas.(b) <- tmp;
-          incr swaps
-        end;
-        r := !r + 2
-      done
-    end;
-    (match on_sweep with
-    | None -> ()
-    | Some f -> f ~sweep ~best:!best_e ~swaps:!swaps)
-  done;
-  (!best, !best_e)
-
 let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null) q =
   if params.reads < 1 then invalid_arg "Pt.sample: reads < 1";
   if params.sweeps < 1 then invalid_arg "Pt.sample: sweeps < 1";
   if params.replicas < 1 then invalid_arg "Pt.sample: replicas < 1";
+  if params.replicas > Multispin.max_lanes then
+    invalid_arg (Printf.sprintf "Pt.sample: replicas > %d" Multispin.max_lanes);
   if params.exchange_interval < 1 then invalid_arg "Pt.sample: exchange_interval < 1";
   let n = Qubo.num_vars q in
   (match init with
@@ -207,11 +149,6 @@ let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null
                 end)
         in
         let init = if r = 0 then init else None in
-        (* The ladder fits in one packed word up to 64 rungs; wider
-           ladders keep the scalar per-replica states. *)
-        let run_read =
-          if params.replicas <= Multispin.max_lanes then run_read_packed else run_read
-        in
         let ((bits, e) as sample) = run_read ~ising ~params ~betas ?init ?stop ?on_sweep rng in
         if tracked then begin
           Telemetry.count telemetry "pt.reads" 1;

@@ -9,22 +9,21 @@
     chain, which is why it's the standard classical competitor in the
     annealing literature and belongs in the ablation suite.
 
-    When [replicas] ≤ {!Qsmt_qubo.Multispin.max_lanes} (always, at the
-    default 8) a read runs on the bit-parallel multi-spin kernel: the
-    ladder is the lane dimension of one packed state (rungs don't
-    interact through spins, so one word-wide accept decision per site is
-    exact), and an accepted exchange just permutes the lane↔rung
-    assignment — O(1) bookkeeping instead of a configuration swap. Wider
-    ladders fall back to the scalar per-replica states; the two paths
-    draw randomness differently, so results are not sample-identical
-    across the boundary. *)
+    A read runs on the bit-parallel multi-spin kernel: the ladder is the
+    lane dimension of one packed state (rungs don't interact through
+    spins, so one word-wide accept decision per site is exact), and an
+    accepted exchange just permutes the lane↔rung assignment — O(1)
+    bookkeeping instead of a configuration swap. The ladder must
+    therefore fit one word: [replicas] is at most
+    {!Qsmt_qubo.Multispin.max_lanes} (64). *)
 
 type params = {
   reads : int;  (** independent tempering runs (default 8) *)
   sweeps : int;  (** Metropolis sweeps per run (default 500) *)
   replicas : int;
-      (** temperature rungs ≥ 1 (default 8); a single rung degenerates to
-          plain Metropolis at [beta_cold] with no exchanges *)
+      (** temperature rungs, 1 to 64 (default 8); a single rung
+          degenerates to plain Metropolis at [beta_cold] with no
+          exchanges *)
   beta_range : (float * float) option;
       (** (hot, cold); [None] (default) derives from the problem via
           {!Schedule.default_beta_range} *)
@@ -48,4 +47,9 @@ val sample :
     see {!Sa.sample} for the contract. [stop] and [on_read] follow the
     cooperative cancellation contract documented at {!Sa.sample}. [telemetry] streams strided [pt.sweep]
     events (read, sweep, best energy, accepted swaps that sweep) plus a
-    [pt.replica_swaps] counter and [pt.reads] / [pt.read_energy]. *)
+    [pt.replica_swaps] counter and [pt.reads] / [pt.read_energy].
+
+    @raise Invalid_argument on [reads < 1], [sweeps < 1], [replicas < 1],
+    [replicas > ]{!Qsmt_qubo.Multispin.max_lanes},
+    [exchange_interval < 1], a bad [beta_range], or an [init] of the
+    wrong length. *)

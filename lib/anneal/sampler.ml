@@ -1,6 +1,3 @@
-module Telemetry = Qsmt_util.Telemetry
-module Decompose = Qsmt_qubo.Decompose
-
 type recipe =
   | R_sa of Sa.params
   | R_sa_packed of Sa.params
@@ -12,14 +9,13 @@ type recipe =
   | R_hardware of Hardware.params
   | R_hardware_auto of (Qsmt_qubo.Qubo.t -> Hardware.params)
   | R_portfolio of Portfolio.params
-  | R_decomposed of { inner : t; dparams : Decompose.params }
   | R_custom of (Qsmt_qubo.Qubo.t -> Sampleset.t)
 
-and t = { name : string; recipe : recipe }
+type t = { name : string; recipe : recipe }
 
 let name t = t.name
 
-let rec with_seed t seed =
+let with_seed t seed =
   let recipe =
     match t.recipe with
     | R_sa p -> R_sa { p with Sa.seed }
@@ -35,14 +31,11 @@ let rec with_seed t seed =
           let p = f q in
           { p with Hardware.anneal = { p.Hardware.anneal with Sa.seed } })
     | R_portfolio p -> R_portfolio (Portfolio.reseed p seed)
-    | R_decomposed { inner; dparams } ->
-      R_decomposed { inner = with_seed inner seed; dparams = { dparams with Decompose.seed } }
     | (R_exact _ | R_custom _) as r -> r
   in
   { t with recipe }
 
-let rec run_detailed ?verify ?init ?(early_exit = false) ?(telemetry = Qsmt_util.Telemetry.null) t q
-    =
+let run_detailed ?verify ?init ?(early_exit = false) ?(telemetry = Qsmt_util.Telemetry.null) t q =
   (* Early exit is opt-in (and needs a verifier): the stop/on_read hooks
      truncate the heuristic samplers' read loops on the first verified
      read, which changes the sample set — cold solves keep the exhaustive
@@ -86,56 +79,6 @@ let rec run_detailed ?verify ?init ?(early_exit = false) ?(telemetry = Qsmt_util
     let r = Portfolio.run ~params ?init ?verify ~telemetry q in
     ( r.Portfolio.merged,
       List.find_map (fun rep -> rep.Portfolio.hardware) r.Portfolio.reports )
-  | R_decomposed { inner; dparams } ->
-    if Qsmt_qubo.Qubo.num_vars q <= dparams.Decompose.subsize then begin
-      (* The problem fits one embedding: delegate to the inner sampler
-         with the caller's exact arguments, so --decompose on a fitting
-         problem is bit-identical to the inner sampler alone. *)
-      Telemetry.count telemetry "decomp.fallback" 1;
-      run_detailed ?verify ?init ~early_exit ~telemetry inner q
-    end
-    else begin
-      let tracked = Telemetry.enabled telemetry in
-      (* Representative hardware diagnostics: keep the worst shard (the
-         highest chain-break fraction) — the one whose reads bound the
-         trustworthiness of the stitched answer. *)
-      let worst = Atomic.make None in
-      let solve_shard ~shard ~round sub =
-        (* distinct seed per (shard, round) so repeated rounds explore
-           rather than replay; 1024 shards per round is comfortably more
-           than any partition produces *)
-        let s = with_seed inner (dparams.Decompose.seed + (1024 * round) + shard) in
-        let samples, hw = run_detailed ~telemetry s sub in
-        (match hw with
-        | None -> ()
-        | Some st ->
-          if tracked then begin
-            Telemetry.observe telemetry "decomp.chain_break_fraction"
-              st.Hardware.mean_chain_break_fraction;
-            if st.Hardware.degraded <> None then
-              Telemetry.count telemetry "decomp.shard_degraded" 1
-          end;
-          let rec publish () =
-            let cur = Atomic.get worst in
-            let worse =
-              match cur with
-              | None -> true
-              | Some prev ->
-                st.Hardware.mean_chain_break_fraction
-                > prev.Hardware.mean_chain_break_fraction
-            in
-            if worse && not (Atomic.compare_and_set worst cur (Some st)) then publish ()
-          in
-          publish ());
-        match Sampleset.best_opt samples with
-        | Some e -> e.Sampleset.bits
-        | None -> failwith "Sampler.decomposed: inner sampler returned no reads"
-      in
-      let bits, report = Decompose.solve ~params:dparams ?init ~telemetry ~solve_shard q in
-      (* [report.energy] is the whole-problem re-pricing of [bits], so
-         the tracked energy is exact by construction. *)
-      (Sampleset.of_tracked q [ (bits, report.Decompose.energy) ], Atomic.get worst)
-    end
   | R_custom f -> (f q, None)
 
 let run ?verify ?init ?early_exit ?telemetry t q =
@@ -156,9 +99,6 @@ let exact ?keep () = { name = "exact"; recipe = R_exact keep }
 let hardware ~params = { name = "hardware"; recipe = R_hardware params }
 let hardware_auto f = { name = "hardware"; recipe = R_hardware_auto f }
 let portfolio ?(params = Portfolio.default) () = { name = "portfolio"; recipe = R_portfolio params }
-
-let decomposed ?(params = Decompose.default) inner =
-  { name = inner.name ^ "+decompose"; recipe = R_decomposed { inner; dparams = params } }
 
 let default_suite ~seed =
   [

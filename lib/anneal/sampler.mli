@@ -83,29 +83,6 @@ val portfolio : ?params:Portfolio.params -> unit -> t
     honors {!run}'s [verify] for early exit. Use {!Portfolio.run}
     directly when you need per-member reports. *)
 
-val decomposed : ?params:Qsmt_qubo.Decompose.params -> t -> t
-(** [decomposed ~params inner] solves through
-    {!Qsmt_qubo.Decompose.solve}, using [inner] (reseeded per
-    shard-and-round from [params.seed]) as the shard solver and taking
-    each shard's best read as its proposal. The sample set is the single
-    stitched assignment with its whole-problem re-priced energy. Named
-    ["<inner>+decompose"].
-
-    Problems no larger than [params.subsize] fit one embedding, so they
-    {e bypass} decomposition entirely: the call delegates to [inner] with
-    the caller's exact arguments (bit-identical samples) and bumps the
-    [decomp.fallback] counter. On the decomposition path [init]
-    warm-starts the global assignment, while [verify]/[early_exit] are
-    not consumed (the stitched assignment only exists once stitching
-    finishes; constraint-level verification happens in the solver's
-    decode scan as usual).
-
-    Per-shard hardware diagnostics (when [inner] samples through the
-    hardware emulation) aggregate into the [decomp.chain_break_fraction]
-    histogram and the [decomp.shard_degraded] counter, and
-    {!run_detailed} returns the worst shard's stats (highest chain-break
-    fraction) as the representative. *)
-
 val with_seed : t -> int -> t
 (** A sampler identical to the input but reseeded. Samplers without a
     seed ({!exact}, {!make}) are returned unchanged. *)

@@ -4,7 +4,6 @@ module Parallel = Qsmt_util.Parallel
 module Telemetry = Qsmt_util.Telemetry
 module Qubo = Qsmt_qubo.Qubo
 module Ising = Qsmt_qubo.Ising
-module Fields = Qsmt_qubo.Fields
 module Multispin = Qsmt_qubo.Multispin
 
 type params = {
@@ -30,8 +29,6 @@ let default =
     domains = 1;
   }
 
-let spin_sign slice i = if Bitvec.get slice i then 1. else -1.
-
 (* Inter-slice coupling strength at transverse field gamma. beta_slice is
    beta/P. The coupling enters the energy as -j_perp * s_{i,k} s_{i,k+1},
    so positive j_perp favors aligned world lines. *)
@@ -42,11 +39,11 @@ let j_perp ~beta_slice gamma =
   let t = Float.max t 1e-300 in
   -0.5 /. beta_slice *. Float.log t
 
-(* Packed path: the P Trotter slices of one read become the P lanes of a
-   {!Multispin} state, so one CSR pass per site serves every slice. The
-   inter-slice ring couples lane l to lanes l±1 (mod P), so flipping all
-   lanes of a site at once is not a valid Metropolis move — adjacent
-   slices' deltas depend on each other's current spins. We 2-color the
+(* One read: the P Trotter slices become the P lanes of a {!Multispin}
+   state, so one CSR pass per site serves every slice. The inter-slice
+   ring couples lane l to lanes l±1 (mod P), so flipping all lanes of a
+   site at once is not a valid Metropolis move — adjacent slices'
+   deltas depend on each other's current spins. We 2-color the
    ring and run the local moves in colored passes (even lanes, then odd);
    an odd P leaves the wrap lane P-1 adjacent to lane 0 of the same
    color, so it gets a third pass of its own. Within a pass no two
@@ -57,7 +54,7 @@ let j_perp ~beta_slice gamma =
    wraparound inside the low P bits) aligns every lane's neighbor under
    its own bit, and XOR marks the disagreeing lanes — two rotations and
    two XORs replace 2P bit reads. *)
-let run_read_packed ~ising ~params ~beta ~gamma_hot ?init ?stop ?on_sweep rng =
+let run_read ~ising ~params ~beta ~gamma_hot ?init ?stop ?on_sweep rng =
   let stopped () = match stop with Some f -> f () | None -> false in
   let n = Ising.num_spins ising in
   let p = params.trotter in
@@ -147,87 +144,12 @@ let run_read_packed ~ising ~params ~beta ~gamma_hot ?init ?stop ?on_sweep rng =
   let bl = Multispin.best_lane ms in
   (Multispin.lane_spins ms bl, Multispin.energy ms bl)
 
-let run_read ~ising ~params ~beta ~gamma_hot ?init ?stop ?on_sweep rng =
-  let stopped () = match stop with Some f -> f () | None -> false in
-  let n = Ising.num_spins ising in
-  let p = params.trotter in
-  let pf = float_of_int p in
-  let beta_slice = beta /. pf in
-  (* One incremental Fields state per Trotter slice: local moves read an
-     O(1) cached delta, and the world-line move sums P cached deltas
-     instead of rescanning P adjacency rows per variable. A warm start
-     seeds every slice with the same assignment — a fully coherent world
-     line, which is exactly the reverse-anneal starting condition. *)
-  let start () =
-    match init with Some b -> Bitvec.copy b | None -> Bitvec.random rng n
-  in
-  let slices = Array.init p (fun _ -> Fields.create ising (start ())) in
-  (* Audited for the Pt single-step edge case: sweeps = 1 is guarded
-     before the [sweeps - 1] divisor, so the ratio is never inf/NaN —
-     gamma simply stays at gamma_hot for the only sweep. *)
-  let ratio =
-    if params.sweeps <= 1 then 1.
-    else (params.gamma_cold /. gamma_hot) ** (1. /. float_of_int (params.sweeps - 1))
-  in
-  let gamma = ref gamma_hot in
-  let sweep = ref 0 in
-  while !sweep < params.sweeps && not (stopped ()) do
-    let jp = j_perp ~beta_slice !gamma in
-    (* Local moves: every (slice, spin). *)
-    for k = 0 to p - 1 do
-      let up = Fields.spins slices.((k + 1) mod p)
-      and down = Fields.spins slices.((k + p - 1) mod p) in
-      let slice = slices.(k) in
-      let bits = Fields.spins slice in
-      for i = 0 to n - 1 do
-        let d_classical = Fields.delta slice i /. pf in
-        let s = spin_sign bits i in
-        let d_perp = 2. *. jp *. s *. (spin_sign up i +. spin_sign down i) in
-        let delta = d_classical +. d_perp in
-        if delta <= 0. || Prng.float rng < Float.exp (-.beta *. delta) then Fields.flip slice i
-      done
-    done;
-    (* World-line moves: flip variable i in every slice; inter-slice terms
-       cancel, so the delta is the mean classical delta. *)
-    for i = 0 to n - 1 do
-      let delta = ref 0. in
-      Array.iter (fun slice -> delta := !delta +. (Fields.delta slice i /. pf)) slices;
-      if !delta <= 0. || Prng.float rng < Float.exp (-.beta *. !delta) then
-        Array.iter (fun slice -> Fields.flip slice i) slices
-    done;
-    (match on_sweep with
-    | None -> ()
-    | Some f ->
-      (* Tracked classical energies of every slice: the spread between
-         the best and worst world line is the replica-coherence signal
-         SQA diagnostics watch. *)
-      let lo = ref infinity and hi = ref neg_infinity in
-      Array.iter
-        (fun slice ->
-          let e = Fields.energy slice in
-          if e < !lo then lo := e;
-          if e > !hi then hi := e)
-        slices;
-      f ~sweep:!sweep ~gamma:!gamma ~best:!lo ~spread:(!hi -. !lo));
-    gamma := !gamma *. ratio;
-    incr sweep
-  done;
-  (* Read out the best slice by (tracked) classical energy. *)
-  let best = ref slices.(0) and best_e = ref (Fields.energy slices.(0)) in
-  Array.iter
-    (fun slice ->
-      let e = Fields.energy slice in
-      if e < !best_e then begin
-        best_e := e;
-        best := slice
-      end)
-    slices;
-  (Fields.spins !best, !best_e)
-
 let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null) q =
   if params.reads < 1 then invalid_arg "Sqa.sample: reads < 1";
   if params.sweeps < 1 then invalid_arg "Sqa.sample: sweeps < 1";
   if params.trotter < 2 then invalid_arg "Sqa.sample: trotter < 2";
+  if params.trotter > Multispin.max_lanes then
+    invalid_arg (Printf.sprintf "Sqa.sample: trotter > %d" Multispin.max_lanes);
   if params.gamma_cold <= 0. then invalid_arg "Sqa.sample: gamma_cold <= 0";
   let n = Qubo.num_vars q in
   (match init with
@@ -275,11 +197,6 @@ let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null
                     ])
         in
         let init = if r = 0 then init else None in
-        (* Slices fit in one packed word up to 64; wider Trotter numbers
-           keep the scalar per-slice states. *)
-        let run_read =
-          if params.trotter <= Multispin.max_lanes then run_read_packed else run_read
-        in
         let ((bits, e) as sample) =
           run_read ~ising ~params ~beta ~gamma_hot ?init ?stop ?on_sweep rng
         in

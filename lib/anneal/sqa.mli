@@ -19,19 +19,17 @@
     slices), which decorrelates much faster on the strongly tied late
     phase. The best slice by classical energy is the read's result.
 
-    When [trotter] ≤ {!Qsmt_qubo.Multispin.max_lanes} (always, at the
-    default 8) a read runs on the bit-parallel multi-spin kernel: the
-    slices are the lanes of one packed state, local moves advance every
-    slice per site in ring-colored passes (adjacent slices are coupled,
-    so they never decide simultaneously), and the transverse-field term
-    comes from word rotations. Wider Trotter numbers fall back to the
-    scalar per-slice states. The two paths draw randomness differently,
-    so results are not sample-identical across the boundary. *)
+    A read runs on the bit-parallel multi-spin kernel: the slices are
+    the lanes of one packed state, local moves advance every slice per
+    site in ring-colored passes (adjacent slices are coupled, so they
+    never decide simultaneously), and the transverse-field term comes
+    from word rotations. The slices must therefore fit one word:
+    [trotter] is at most {!Qsmt_qubo.Multispin.max_lanes} (64). *)
 
 type params = {
   reads : int;  (** independent runs (default 16) *)
   sweeps : int;  (** Γ steps per read (default 500) *)
-  trotter : int;  (** Trotter slices P ≥ 2 (default 8) *)
+  trotter : int;  (** Trotter slices, 2 ≤ P ≤ 64 (default 8) *)
   beta : float option;
       (** fixed inverse temperature; [None] (default) uses the cold end
           of {!Schedule.default_beta_range} *)
@@ -62,4 +60,9 @@ val sample :
     strided [sqa.sweep] events (read, sweep, Γ, best slice energy,
     replica spread = worst − best world line) plus [sqa.reads] /
     [sqa.read_energy]; the spread is the replica-coherence signal that
-    distinguishes the quantum-fluctuation phase from the frozen tail. *)
+    distinguishes the quantum-fluctuation phase from the frozen tail.
+
+    @raise Invalid_argument on [reads < 1], [sweeps < 1], [trotter < 2],
+    [trotter > ]{!Qsmt_qubo.Multispin.max_lanes}, [gamma_cold <= 0],
+    [beta <= 0], [gamma_hot < gamma_cold], or an [init] of the wrong
+    length. *)

@@ -25,8 +25,8 @@ type t = {
   refresh_every : int; (* accepted lane-flips between refreshes; 0 = never *)
   mutable flips : int;
   (* Per-state scratch (a state lives on one domain, like Fields): *)
-  lane_buf : int array; (* decomposed mask bits, ascending lanes *)
-  sign_buf : float array; (* 2 * new_sign per decomposed lane *)
+  lane_buf : int array; (* set lanes of a mask, ascending *)
+  sign_buf : float array; (* 2 * new_sign per set lane *)
   x_buf : float array; (* per-lane scaled delta beta*delta, bucketed accept only *)
 }
 

@@ -171,6 +171,17 @@ let sort_of_value = function
   | Eval.V_int _ -> Ast.S_int
   | Eval.V_bool _ -> Ast.S_bool
 
+(* Both check-sat forms answer under their own span with one GC probe
+   and one [smtlib.verdict] event. *)
+let traced_check_sat st span_name =
+  Telemetry.with_span st.telemetry span_name (fun span ->
+      let lines = Telemetry.with_gc_probe st.telemetry ~span (fun () -> check_sat st) in
+      (match lines with
+      | [ verdict ] ->
+        Telemetry.emit st.telemetry ~span "smtlib.verdict" [ ("result", Telemetry.Str verdict) ]
+      | _ -> ());
+      lines)
+
 let exec st command =
   if st.exited then Error "solver has exited"
   else begin
@@ -204,16 +215,7 @@ let exec st command =
         end
       in
       pop n
-    | Ast.Check_sat ->
-      Ok
-        (Telemetry.with_span st.telemetry "smtlib.check_sat" (fun span ->
-             let lines = Telemetry.with_gc_probe st.telemetry ~span (fun () -> check_sat st) in
-             (match lines with
-             | [ verdict ] ->
-               Telemetry.emit st.telemetry ~span "smtlib.verdict"
-                 [ ("result", Telemetry.Str verdict) ]
-             | _ -> ());
-             lines))
+    | Ast.Check_sat -> Ok (traced_check_sat st "smtlib.check_sat")
     | Ast.Check_sat_assuming assumptions ->
       let* () =
         List.fold_left
@@ -231,18 +233,7 @@ let exec st command =
       Telemetry.count st.telemetry "smtlib.assumptions" (List.length assumptions);
       Fun.protect
         ~finally:(fun () -> st.assertions <- saved)
-        (fun () ->
-          Ok
-            (Telemetry.with_span st.telemetry "smtlib.check_sat_assuming" (fun span ->
-                 let lines =
-                   Telemetry.with_gc_probe st.telemetry ~span (fun () -> check_sat st)
-                 in
-                 (match lines with
-                 | [ verdict ] ->
-                   Telemetry.emit st.telemetry ~span "smtlib.verdict"
-                     [ ("result", Telemetry.Str verdict) ]
-                 | _ -> ());
-                 lines)))
+        (fun () -> Ok (traced_check_sat st "smtlib.check_sat_assuming"))
     | Ast.Get_model -> begin
       match st.last_model with
       | None -> Error "no model available (run (check-sat) first, it must answer sat)"

@@ -93,10 +93,5 @@ let of_string s =
       | '0' -> false
       | c -> invalid_arg (Printf.sprintf "Bitvec.of_string: bad char %C" c))
 
-let iteri f t =
-  for i = 0 to t.len - 1 do
-    f i (unsafe_get t i)
-  done
-
 let random rng n = init n (fun _ -> Prng.bool rng)
 let pp ppf t = Format.pp_print_string ppf (to_string t)

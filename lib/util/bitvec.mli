@@ -61,7 +61,6 @@ val of_string : string -> t
 (** Inverse of {!to_string}.
     @raise Invalid_argument on characters other than '0'/'1'. *)
 
-val iteri : (int -> bool -> unit) -> t -> unit
 val random : Prng.t -> int -> t
 (** [random rng n] is a uniformly random vector of [n] bits. *)
 

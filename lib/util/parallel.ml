@@ -150,7 +150,7 @@ module Pool = struct
      numbered 0 (the caller) .. k (acquired workers); each writes only
      its own slot of the local accumulators, and [wait]'s mutex
      round-trip publishes worker slots to the caller before they are
-     read. Jobs are coarse (whole annealing reads or shards), so the
+     read. Jobs are coarse (blocks of whole annealing reads), so the
      per-job telemetry locking is noise. *)
   let run_list_traced tm t jobs =
     match jobs with
@@ -308,10 +308,3 @@ let init_array ?(telemetry = Telemetry.null) ?(domains = 1) n f =
         | None -> failwith "Parallel.init_array: a worker job produced no result")
       results
   end
-
-let map_array ?telemetry ?(domains = 1) f a =
-  init_array ?telemetry ~domains (Array.length a) (fun i -> f a.(i))
-
-let reduce ?telemetry ?(domains = 1) f combine zero a =
-  let mapped = map_array ?telemetry ~domains f a in
-  Array.fold_left combine zero mapped

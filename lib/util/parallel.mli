@@ -68,21 +68,12 @@ module Pool : sig
       Subsequent [run_list] calls on a shut-down pool run sequentially. *)
 end
 
-val map_array : ?telemetry:Telemetry.t -> ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array ~domains f a] maps [f] over [a], splitting the work across
-    up to [domains] blocks scheduled on the shared pool ([1] = sequential,
-    the default). [f] must be safe to run concurrently on distinct
-    elements. Preserves order. Exceptions raised by [f] are re-raised in
-    the caller. An enabled [?telemetry] handle records the [pool.*]
-    vocabulary of {!Pool.run_list}; the sequential path reports as one
-    inline job run by the caller (utilization 1), so tracked solves
-    always expose scheduling metrics. *)
-
 val init_array : ?telemetry:Telemetry.t -> ?domains:int -> int -> (int -> 'a) -> 'a array
-(** [init_array ~domains n f] is [Array.init n f] with the same parallel
-    contract as {!map_array}. *)
-
-val reduce :
-  ?telemetry:Telemetry.t -> ?domains:int -> ('a -> 'b) -> ('b -> 'b -> 'b) -> 'b -> 'a array -> 'b
-(** [reduce ~domains f combine zero a] maps then folds with [combine]
-    (which must be associative); [zero] is the unit. *)
+(** [init_array ~domains n f] is [Array.init n f], splitting the work
+    across up to [domains] blocks scheduled on the shared pool ([1] =
+    sequential, the default). [f] must be safe to run concurrently on
+    distinct indices. Preserves order. Exceptions raised by [f] are
+    re-raised in the caller. An enabled [?telemetry] handle records the
+    [pool.*] vocabulary of {!Pool.run_list}; the sequential path reports
+    as one inline job run by the caller (utilization 1), so tracked
+    solves always expose scheduling metrics. *)

@@ -1019,8 +1019,7 @@ let rec json_to_buf buf = function
    concurrency is made visible by assigning each span a lane ("tid"):
    a span shares its parent's lane when the parent is the lane's
    innermost open span, otherwise it gets the first free lane — so the
-   portfolio's overlapping members and the decomposer's parallel shards
-   land on separate rows. Point events become instants on their owning
+   portfolio's overlapping members land on separate rows. Point events become instants on their owning
    span's lane; counter and gauge summaries become "C" counter events. *)
 let export_chrome ic oc =
   let reserved = [ "ts"; "ev"; "span"; "parent" ] in

@@ -289,6 +289,10 @@ let test_sqa_validation () =
   let q = target_qubo "1" in
   Alcotest.check_raises "trotter" (Invalid_argument "Sqa.sample: trotter < 2") (fun () ->
       ignore (Sqa.sample ~params:{ Sqa.default with Sqa.trotter = 1 } q));
+  Alcotest.check_raises "trotter past one word" (Invalid_argument "Sqa.sample: trotter > 64")
+    (fun () -> ignore (Sqa.sample ~params:{ Sqa.default with Sqa.trotter = 65 } q));
+  let full = Sqa.sample ~params:{ Sqa.default with Sqa.reads = 3; sweeps = 20; trotter = 64 } q in
+  check Alcotest.int "64 slices, 3 reads" 3 (Sampleset.total_reads full);
   Alcotest.check_raises "gamma order" (Invalid_argument "Sqa.sample: gamma_hot < gamma_cold")
     (fun () -> ignore (Sqa.sample ~params:{ Sqa.default with Sqa.gamma_hot = Some 1e-9 } q))
 
@@ -949,6 +953,10 @@ let test_pt_validation () =
   let q = target_qubo "1" in
   Alcotest.check_raises "replicas" (Invalid_argument "Pt.sample: replicas < 1") (fun () ->
       ignore (Pt.sample ~params:{ pt_params with Pt.replicas = 0 } q));
+  Alcotest.check_raises "replicas past one word" (Invalid_argument "Pt.sample: replicas > 64")
+    (fun () -> ignore (Pt.sample ~params:{ pt_params with Pt.replicas = 65 } q));
+  let full = Pt.sample ~params:{ pt_params with Pt.reads = 3; sweeps = 20; replicas = 64 } q in
+  check Alcotest.int "64 rungs, 3 reads" 3 (Sampleset.total_reads full);
   Alcotest.check_raises "beta range" (Invalid_argument "Pt.sample: bad beta_range") (fun () ->
       ignore (Pt.sample ~params:{ pt_params with Pt.beta_range = Some (2., 1.) } q));
   Alcotest.check_raises "exchange" (Invalid_argument "Pt.sample: exchange_interval < 1")

@@ -298,16 +298,15 @@ let test_ascii7_printable () =
 (* Parallel *)
 
 let test_parallel_matches_sequential () =
-  let input = Array.init 100 (fun i -> i) in
   let f x = (x * x) + 1 in
-  let seq = Array.map f input in
-  check (Alcotest.array Alcotest.int) "2 domains" seq (Parallel.map_array ~domains:2 f input);
-  check (Alcotest.array Alcotest.int) "5 domains" seq (Parallel.map_array ~domains:5 f input);
+  let seq = Array.init 100 f in
+  check (Alcotest.array Alcotest.int) "2 domains" seq (Parallel.init_array ~domains:2 100 f);
+  check (Alcotest.array Alcotest.int) "5 domains" seq (Parallel.init_array ~domains:5 100 f);
   check (Alcotest.array Alcotest.int) "more domains than work" seq
-    (Parallel.map_array ~domains:64 f input)
+    (Parallel.init_array ~domains:64 100 f)
 
 let test_parallel_empty_and_small () =
-  check (Alcotest.array Alcotest.int) "empty" [||] (Parallel.map_array ~domains:4 (fun x -> x) [||]);
+  check (Alcotest.array Alcotest.int) "empty" [||] (Parallel.init_array ~domains:4 0 Fun.id);
   check (Alcotest.array Alcotest.int) "singleton" [| 9 |]
     (Parallel.init_array ~domains:4 1 (fun _ -> 9))
 
@@ -318,15 +317,11 @@ let test_parallel_init () =
     (Array.init 17 (fun i -> 2 * i))
     (Parallel.init_array ~domains:3 17 (fun i -> 2 * i))
 
-let test_parallel_reduce () =
-  let a = Array.init 1000 (fun i -> i) in
-  check Alcotest.int "sum" (999 * 1000 / 2) (Parallel.reduce ~domains:4 (fun x -> x) ( + ) 0 a)
-
 let test_parallel_exception_propagates () =
   let fails _ = failwith "boom" in
   check Alcotest.bool "raises" true
     (try
-       ignore (Parallel.map_array ~domains:1 fails [| 1 |]);
+       ignore (Parallel.init_array ~domains:1 1 fails);
        false
      with Failure _ -> true)
 
@@ -520,7 +515,6 @@ let () =
           Alcotest.test_case "matches sequential" `Quick test_parallel_matches_sequential;
           Alcotest.test_case "empty and small" `Quick test_parallel_empty_and_small;
           Alcotest.test_case "init" `Quick test_parallel_init;
-          Alcotest.test_case "reduce" `Quick test_parallel_reduce;
           Alcotest.test_case "exceptions propagate" `Quick test_parallel_exception_propagates;
           Alcotest.test_case "recommended domains" `Quick test_recommended_domains_positive;
           Alcotest.test_case "partition covers range" `Quick test_partition_covers;
