@@ -27,7 +27,7 @@
 
 module Bitvec = Qsmt_util.Bitvec
 module Prng = Qsmt_util.Prng
-module Telemetry = Qsmt_util.Telemetry
+module Json = Qsmt_trace.Json
 module Qubo = Qsmt_qubo.Qubo
 module Ising = Qsmt_qubo.Ising
 module Fields = Qsmt_qubo.Fields
@@ -441,19 +441,19 @@ let packed_json_out rows path =
 
 let baseline_path = "bench/baselines/BENCH_2.json"
 
-let jfield k = function Telemetry.J_obj kvs -> List.assoc_opt k kvs | _ -> None
-let jnum = function Some (Telemetry.J_num f) -> Some f | _ -> None
-let jstr = function Some (Telemetry.J_str s) -> Some s | _ -> None
+let jfield k = function Json.Obj kvs -> List.assoc_opt k kvs | _ -> None
+let jnum = function Some (Json.Num f) -> Some f | _ -> None
+let jstr = function Some (Json.Str s) -> Some s | _ -> None
 
 let baseline_kernel_speedups () =
   match In_channel.with_open_text baseline_path In_channel.input_all with
   | exception Sys_error _ -> None
   | text -> (
-    match Telemetry.parse_json text with
+    match Json.parse text with
     | Error _ -> None
     | Ok doc ->
       (match jfield "instances" doc with
-      | Some (Telemetry.J_list insts) ->
+      | Some (Json.List insts) ->
         Some
           (List.filter_map
              (fun inst ->

@@ -40,6 +40,8 @@ module Qubo_io = Qsmt_qubo.Qubo_io
 module Dimacs = Qsmt_classical.Dimacs
 module Bitblast = Qsmt_classical.Bitblast
 module Telemetry = Qsmt_util.Telemetry
+module Json = Qsmt_trace.Json
+module Trace = Qsmt_trace.Trace
 module Sampleset = Qsmt_anneal.Sampleset
 module Metrics = Qsmt_anneal.Metrics
 
@@ -369,7 +371,7 @@ let with_telemetry ~trace ~metrics ?(metrics_out = None) ?(progress = false) ?tt
     (match metrics_out with
     | Some path ->
       Out_channel.with_open_text path (fun oc ->
-          Out_channel.output_string oc (Telemetry.expose_text (Telemetry.snapshot t)))
+          Out_channel.output_string oc (Trace.expose (Telemetry.snapshot t)))
     | None -> ());
     r
   in
@@ -683,6 +685,24 @@ let gen_cmd =
 (* ------------------------------------------------------------------ *)
 (* lint *)
 
+let json_int n = Json.Num (float_of_int n)
+
+(* One finding of the [--json] lines of lint and analyze. *)
+let finding_to_json (f : Analyze.finding) =
+  let location =
+    match f.location with
+    | Analyze.Global -> [ ("kind", Json.Str "global") ]
+    | Analyze.Var i -> [ ("kind", Json.Str "var"); ("i", json_int i) ]
+    | Analyze.Coupler (i, j) -> [ ("kind", Json.Str "coupler"); ("i", json_int i); ("j", json_int j) ]
+  in
+  Json.Obj
+    [
+      ("severity", Json.Str (Analyze.severity_name f.severity));
+      ("check", Json.Str f.check);
+      ("location", Json.Obj location);
+      ("message", Json.Str f.message);
+    ]
+
 module Smt_parser = Qsmt_smtlib.Parser
 module Smt_typecheck = Qsmt_smtlib.Typecheck
 module Smt_ast = Qsmt_smtlib.Ast
@@ -832,10 +852,16 @@ let lint_action op args table1 smt2 workload fail_on json chain topology topolog
             let warnings = Analyze.count_severity findings Analyze.Warning in
             let infos = Analyze.count_severity findings Analyze.Info in
             if json then
-              Format.printf
-                {|{"target":"%s","errors":%d,"warnings":%d,"infos":%d,"findings":[%s]}@.|}
-                (Lint.json_escape name) errors warnings infos
-                (String.concat "," (List.map Lint.finding_to_json findings))
+              Format.printf "%s@."
+                (Json.to_string
+                   (Json.Obj
+                      [
+                        ("target", Json.Str name);
+                        ("errors", json_int errors);
+                        ("warnings", json_int warnings);
+                        ("infos", json_int infos);
+                        ("findings", Json.List (List.map finding_to_json findings));
+                      ]))
             else begin
               Format.printf "==> %s@." name;
               List.iter (fun f -> Format.printf "  %a@." Analyze.pp_finding f) findings;
@@ -963,14 +989,23 @@ let analysis_to_json name (a : Absint.analysis) findings =
     | Absint.V_unsat why -> ("unsat", why)
     | Absint.V_undecided -> ("undecided", "")
   in
-  Printf.sprintf
-    {|{"target":"%s","verdict":"%s","value":"%s","length":%d,"iterations":%d,"facts":%d,"positions_fixed":%d,"bits_forced":%d,"widened":%b,"errors":%d,"warnings":%d,"infos":%d,"findings":[%s]}|}
-    (Lint.json_escape name) verdict (Lint.json_escape value) a.Absint.length
-    a.Absint.iterations a.Absint.facts
-    (Absint.num_fixed_positions a)
-    (List.length (Absint.forced_bits a))
-    a.Absint.widened errors warnings infos
-    (String.concat "," (List.map Lint.finding_to_json findings))
+  Json.to_string
+    (Json.Obj
+       [
+         ("target", Json.Str name);
+         ("verdict", Json.Str verdict);
+         ("value", Json.Str value);
+         ("length", json_int a.Absint.length);
+         ("iterations", json_int a.Absint.iterations);
+         ("facts", json_int a.Absint.facts);
+         ("positions_fixed", json_int (Absint.num_fixed_positions a));
+         ("bits_forced", json_int (List.length (Absint.forced_bits a)));
+         ("widened", Json.Bool a.Absint.widened);
+         ("errors", json_int errors);
+         ("warnings", json_int warnings);
+         ("infos", json_int infos);
+         ("findings", Json.List (List.map finding_to_json findings));
+       ])
 
 let analyze_action op args table1 smt2 workload fail_on json max_iters seed trace metrics
     metrics_out =
@@ -1381,13 +1416,16 @@ let export_cmd =
 (* trace *)
 
 let trace_action path chrome =
-  match Telemetry.validate_jsonl_file path with
+  match In_channel.with_open_text path Trace.validate with
   | Ok n -> begin
     Format.printf "%s: %d events, well-formed JSONL, monotone timestamps, balanced spans@." path n;
     match chrome with
     | None -> 0
     | Some dst -> begin
-      match Telemetry.export_chrome_file ~src:path ~dst with
+      match
+        In_channel.with_open_text path (fun ic ->
+            Out_channel.with_open_text dst (Trace.to_chrome ic))
+      with
       | Ok events ->
         Format.printf "%s: %d trace events (Chrome trace-event format)@." dst events;
         0
@@ -1398,9 +1436,6 @@ let trace_action path chrome =
   end
   | Error msg ->
     prerr_endline ("qsmt: invalid trace: " ^ msg);
-    2
-  | exception Sys_error msg ->
-    prerr_endline ("qsmt: " ^ msg);
     2
 
 let trace_cmd =
@@ -1438,15 +1473,12 @@ let trace_cmd =
 (* metrics *)
 
 let metrics_action path =
-  match Telemetry.snapshot_of_jsonl_file path with
+  match In_channel.with_open_text path Trace.replay with
   | Ok snap ->
-    print_string (Telemetry.expose_text snap);
+    print_string (Trace.expose snap);
     0
   | Error msg ->
     prerr_endline ("qsmt: invalid trace: " ^ msg);
-    2
-  | exception Sys_error msg ->
-    prerr_endline ("qsmt: " ^ msg);
     2
 
 let metrics_cmd =
@@ -1508,4 +1540,19 @@ let main_cmd =
       samplers_cmd;
     ]
 
-let () = exit (Cmd.eval' main_cmd)
+(* A file that cannot be read or written (a script, a trace, a
+   --metrics-out dump) is an input error, reported once for every
+   command; any other escaping exception is a bug and keeps Cmdliner's
+   internal-error exit. *)
+let () =
+  exit
+    (match Cmd.eval' ~catch:false main_cmd with
+    | code -> code
+    | exception Sys_error msg ->
+      prerr_endline ("qsmt: " ^ msg);
+      2
+    | exception e ->
+      let backtrace = Printexc.get_backtrace () in
+      Printf.eprintf "qsmt: internal error, uncaught exception:\n  %s\n%s%!" (Printexc.to_string e)
+        backtrace;
+      Cmd.Exit.internal_error)

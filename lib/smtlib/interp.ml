@@ -172,15 +172,20 @@ let sort_of_value = function
   | Eval.V_bool _ -> Ast.S_bool
 
 (* Both check-sat forms answer under their own span with one GC probe
-   and one [smtlib.verdict] event. *)
+   and one [smtlib.verdict] event. A backend that raises (a sampler
+   rejecting the query's size, say) answers the command with an error,
+   so a session survives it. *)
 let traced_check_sat st span_name =
   Telemetry.with_span st.telemetry span_name (fun span ->
-      let lines = Telemetry.with_gc_probe st.telemetry ~span (fun () -> check_sat st) in
-      (match lines with
-      | [ verdict ] ->
-        Telemetry.emit st.telemetry ~span "smtlib.verdict" [ ("result", Telemetry.Str verdict) ]
-      | _ -> ());
-      lines)
+      match Telemetry.with_gc_probe st.telemetry ~span (fun () -> check_sat st) with
+      | exception (Invalid_argument msg | Failure msg) -> Error msg
+      | exception e -> Error (Printexc.to_string e)
+      | lines ->
+        (match lines with
+        | [ verdict ] ->
+          Telemetry.emit st.telemetry ~span "smtlib.verdict" [ ("result", Telemetry.Str verdict) ]
+        | _ -> ());
+        Ok lines)
 
 let exec st command =
   if st.exited then Error "solver has exited"
@@ -215,7 +220,7 @@ let exec st command =
         end
       in
       pop n
-    | Ast.Check_sat -> Ok (traced_check_sat st "smtlib.check_sat")
+    | Ast.Check_sat -> traced_check_sat st "smtlib.check_sat"
     | Ast.Check_sat_assuming assumptions ->
       let* () =
         List.fold_left
@@ -233,7 +238,7 @@ let exec st command =
       Telemetry.count st.telemetry "smtlib.assumptions" (List.length assumptions);
       Fun.protect
         ~finally:(fun () -> st.assertions <- saved)
-        (fun () -> Ok (traced_check_sat st "smtlib.check_sat_assuming"))
+        (fun () -> traced_check_sat st "smtlib.check_sat_assuming")
     | Ast.Get_model -> begin
       match st.last_model with
       | None -> Error "no model available (run (check-sat) first, it must answer sat)"

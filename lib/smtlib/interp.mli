@@ -62,7 +62,8 @@ val create :
 
 val exec : state -> Ast.command -> (string list, string) result
 (** Output lines of one command. [Error] is a solver-level error
-    (redeclaration, sort error, get-model before check-sat, ...). *)
+    (redeclaration, sort error, get-model before check-sat, ...), or the
+    message of an exception the backend raised during a check-sat. *)
 
 val run_script : state -> Ast.command list -> (string list, string) result
 (** Executes until the end or the first [Exit]; concatenates output.

@@ -287,33 +287,3 @@ let gate_check ?(config = default_config) ?(telemetry = Telemetry.null) ~gate co
       Telemetry.count telemetry "lint.rejected" 1;
       raise (Rejected (constr, findings))
     end
-
-(* ------------------------------------------------------------------ *)
-(* rendering *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let location_to_json = function
-  | Analyze.Global -> {|{"kind":"global"}|}
-  | Analyze.Var i -> Printf.sprintf {|{"kind":"var","i":%d}|} i
-  | Analyze.Coupler (i, j) -> Printf.sprintf {|{"kind":"coupler","i":%d,"j":%d}|} i j
-
-let finding_to_json f =
-  Printf.sprintf {|{"severity":"%s","check":"%s","location":%s,"message":"%s"}|}
-    (Analyze.severity_name f.Analyze.severity)
-    (json_escape f.Analyze.check)
-    (location_to_json f.Analyze.location)
-    (json_escape f.Analyze.message)

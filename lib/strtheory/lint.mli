@@ -104,12 +104,3 @@ val gate_check :
 (** No-op at [`Off]; otherwise runs {!lint_compiled} and raises
     {!Rejected} when any finding reaches the gate severity. Bumps a
     [lint.rejected] counter on rejection. *)
-
-(** {1 Rendering} *)
-
-val finding_to_json : finding -> string
-(** One-line JSON object:
-    [{"severity":…,"check":…,"location":{…},"message":…}]. *)
-
-val json_escape : string -> string
-(** JSON string-body escaping (quotes, backslashes, control chars). *)

@@ -249,10 +249,18 @@ let stages ?cache ?model ?warm cfg span cs =
   match analysis with
   | Some ({ Absint.verdict = Absint.V_sat _ | Absint.V_unsat _; _ } as a) ->
     Ok (static cfg span cs a)
-  | None | Some { Absint.verdict = Absint.V_undecided; _ } ->
-    let answer = anneal_stages ?cache ?model ?warm cfg span cs analysis in
-    if Result.is_error answer then Telemetry.finish tel span;
-    answer
+  | None | Some { Absint.verdict = Absint.V_undecided; _ } -> (
+    (* An answer closes [solve] in [finish]; an error or a raise (the
+       lint gate, a sampler rejecting its input) closes it here. *)
+    match anneal_stages ?cache ?model ?warm cfg span cs analysis with
+    | Ok _ as answer -> answer
+    | Error _ as answer ->
+      Telemetry.finish tel span;
+      answer
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Telemetry.finish tel span;
+      Printexc.raise_with_backtrace e bt)
 
 let run ?cache ?model ?warm ~probe cfg cs =
   let span = Telemetry.span cfg.telemetry "solve" in

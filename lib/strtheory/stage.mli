@@ -85,5 +85,6 @@ val run :
     the [warm] bits of its last answer. [probe] takes one
     {!Qsmt_util.Telemetry.with_gc_probe} on the [solve] span; a session
     leaves it to the SMT-LIB front end, which probes each [check-sat].
-    [Error] only for an empty sample set.
+    [Error] only for an empty sample set. The [solve] span is closed on
+    every exit, a raise included.
     @raise Lint.Rejected when the lint gate rejects an encoding. *)

@@ -11,9 +11,10 @@
       pay nothing measurable when telemetry is off.
     - {!collector} — in-memory event buffer, what tests read back.
     - {!jsonl} / {!with_jsonl} — streaming JSONL writer, what the CLI's
-      [--trace FILE] and CI artifacts use. One event per line, timestamps
-      strictly monotone (wall-clock reads are clamped so a stepped clock
-      can never produce an out-of-order trace).
+      [--trace FILE] and CI artifacts use. One event per line,
+      timestamps non-decreasing: they are read from {!Mclock}, the
+      process-wide monotone clock, so a stepped system clock can never
+      produce an out-of-order trace.
 
     Handles are domain-safe: a single mutex orders sink writes and
     aggregate updates, and span ids come from an atomic counter, so the
@@ -24,9 +25,9 @@
     event stream.
 
     Event vocabulary (the names instrumented code emits) is documented in
-    DESIGN.md §Telemetry; the invariants the validator checks are:
-    every line parses as a JSON object, has a string ["ev"] and a float
-    ["ts"], and the ["ts"] sequence is non-decreasing. *)
+    DESIGN.md §Telemetry. Reading a trace back — validation, replay,
+    export — is [Qsmt_trace.Trace], which documents the trace
+    contract. *)
 
 type t
 (** A telemetry handle: sink + aggregate state. *)
@@ -151,7 +152,7 @@ val span_totals : t -> (string * int * float) list
 val find_counter : t -> string -> int option
 
 (* ------------------------------------------------------------------ *)
-(** {1 Snapshot and Prometheus-style exposition} *)
+(** {1 Snapshot} *)
 
 type snapshot = {
   snap_elapsed_s : float;  (** seconds since the handle was created *)
@@ -169,23 +170,6 @@ val snapshot : t -> snapshot
     safe to call from a progress-reporter domain while samplers are
     emitting. On {!null} returns an empty snapshot. *)
 
-val expose_text : snapshot -> string
-(** Renders the snapshot in Prometheus text exposition format: metric
-    names are the event vocabulary sanitised to [[a-zA-Z0-9_]] with a
-    [qsmt_] prefix; counters get [_total], histograms render as
-    summaries with [quantile="0.5"|"0.9"|"0.99"] lines plus
-    [_sum]/[_count]/[_min]/[_max], span totals as
-    [qsmt_span_seconds_total{span="…"}]. Output order is deterministic
-    (sorted by name). *)
-
-val snapshot_of_jsonl : in_channel -> (snapshot, string) result
-(** Rebuilds a {!snapshot} from a flushed JSONL trace: counters, gauges
-    and histogram summaries from the flush-emitted summary events (last
-    flush wins), span totals re-accumulated from the [span.end] stream.
-    What [qsmt metrics TRACE] prints. *)
-
-val snapshot_of_jsonl_file : string -> (snapshot, string) result
-
 (* ------------------------------------------------------------------ *)
 (** {1 Resource probes} *)
 
@@ -198,48 +182,16 @@ val with_gc_probe : t -> ?span:span -> (unit -> 'a) -> 'a
     orchestrating domain's share. No-op on {!null}. *)
 
 (* ------------------------------------------------------------------ *)
-(** {1 JSONL encoding / validation} *)
+(** {1 JSON emitters}
 
-val event_to_json : event -> string
-(** One-line JSON object: [{"ts":…,"ev":…,"span":…,"parent":…,…fields}].
-    [span]/[parent] are omitted when [-1]; field names must not collide
-    with the reserved keys (["ts"], ["ev"], ["span"], ["parent"]). *)
+    The trace writer's own value encoders, shared with
+    [Qsmt_trace.Json.to_string] so every JSON the program writes escapes
+    and rounds the same way. *)
 
-type json =
-  | J_null
-  | J_bool of bool
-  | J_num of float
-  | J_str of string
-  | J_list of json list
-  | J_obj of (string * json) list
-      (** Parsed JSON. Object members keep their document order. *)
+val buf_add_json_string : Buffer.t -> string -> unit
+(** Appends a quoted JSON string: quotes, backslashes and control
+    characters escaped, other bytes verbatim. *)
 
-val parse_json : string -> (json, string) result
-(** Full-document JSON reader (objects, arrays, strings with escapes,
-    numbers, literals; insignificant whitespace allowed anywhere, so
-    pretty-printed multi-line documents parse too). Used line-wise by the
-    trace validator and whole-file by the benches to read their committed
-    [BENCH_*.json] baselines back without an external JSON dependency. *)
-
-val validate_jsonl : in_channel -> (int, string) result
-(** Reads a trace produced by a {!jsonl} handle and checks the contract:
-    every non-empty line is a well-formed JSON object with a string
-    ["ev"] and a float ["ts"], timestamps never decrease, and the span
-    stream is balanced — every [span.begin] carries a fresh id and an
-    open (or absent) parent, every [span.end] closes an open id with a
-    matching name and no still-open children, and nothing is left open
-    at end of input. Returns the number of events, or a message naming
-    the first offending line. *)
-
-val validate_jsonl_file : string -> (int, string) result
-
-val export_chrome : in_channel -> out_channel -> (int, string) result
-(** Converts a JSONL trace to Chrome trace-event JSON (loadable in
-    Perfetto / chrome://tracing): spans become ["X"] complete events
-    with lanes ("tid"s) assigned so overlapping spans land on separate
-    rows, point events become instants on their owning span's lane, and
-    counter/gauge summaries become ["C"] counter tracks. Returns the
-    number of trace events written, or a message naming the first
-    offending input line. *)
-
-val export_chrome_file : src:string -> dst:string -> (int, string) result
+val buf_add_json_float : Buffer.t -> float -> unit
+(** Appends [x] with 9 significant digits, or [null] when it is not
+    finite (JSON has no inf/nan literals). *)

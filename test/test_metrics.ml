@@ -7,6 +7,8 @@
 
 module Bitvec = Qsmt_util.Bitvec
 module Telemetry = Qsmt_util.Telemetry
+module Json = Qsmt_trace.Json
+module Trace = Qsmt_trace.Trace
 module Sampleset = Qsmt_anneal.Sampleset
 module Metrics = Qsmt_anneal.Metrics
 
@@ -244,7 +246,7 @@ let test_jsonl_roundtrip () =
                 [ ("sweep", Telemetry.Int 1); ("energy", Telemetry.Float (-2.5)) ];
               Telemetry.count t "sa.reads" 32;
               Telemetry.observe t "sa.read_energy" 0.5));
-      match Telemetry.validate_jsonl_file path with
+      match In_channel.with_open_text path Trace.validate with
       | Error msg -> Alcotest.failf "trace invalid: %s" msg
       | Ok n ->
         (* span.begin + sa.sweep + span.end + flushed counter + hist *)
@@ -278,7 +280,7 @@ let test_validate_rejects_garbage () =
       let oc = open_out path in
       output_string oc "{\"ts\":1.0,\"ev\":\"a\"}\n{\"ts\":0.5,\"ev\":\"b\"}\n";
       close_out oc;
-      match Telemetry.validate_jsonl_file path with
+      match In_channel.with_open_text path Trace.validate with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "decreasing timestamps must be rejected")
 
@@ -367,7 +369,7 @@ let test_snapshot_and_exposition () =
     [ ("sa.reads", 32) ]
     snap.Telemetry.snap_counters;
   check Alcotest.bool "elapsed non-negative" true (snap.Telemetry.snap_elapsed_s >= 0.);
-  let text = Telemetry.expose_text snap in
+  let text = Trace.expose snap in
   let has sub =
     let rec find i =
       i + String.length sub <= String.length text
@@ -385,7 +387,7 @@ let test_snapshot_and_exposition () =
   Telemetry.finish t open_sp;
   (* deterministic: same aggregates render to the same bytes *)
   check Alcotest.string "exposition deterministic" text
-    (Telemetry.expose_text { snap with Telemetry.snap_elapsed_s = snap.Telemetry.snap_elapsed_s })
+    (Trace.expose { snap with Telemetry.snap_elapsed_s = snap.Telemetry.snap_elapsed_s })
 
 let test_snapshot_of_jsonl_roundtrip () =
   let path = Filename.temp_file "qsmt_snapjsonl" ".jsonl" in
@@ -397,7 +399,7 @@ let test_snapshot_of_jsonl_roundtrip () =
               Telemetry.count t "sa.reads" 32;
               Telemetry.gauge t "sa.sweeps_per_s" 1234.5;
               List.iter (Telemetry.observe t "sa.read_energy") [ 0.5; 1.5 ]));
-      match Telemetry.snapshot_of_jsonl_file path with
+      match In_channel.with_open_text path Trace.replay with
       | Error msg -> Alcotest.failf "replay failed: %s" msg
       | Ok snap ->
         check
@@ -453,25 +455,26 @@ let test_pool_instrumentation () =
     check Alcotest.bool "submit latency histogram" true
       (List.mem_assoc "pool.submit_latency_s" hists)
 
+(* Runs a trace reader over the given lines. *)
+let read_lines reader lines =
+  let path = Filename.temp_file "qsmt_val" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+          List.iter (fun l -> output_string oc (l ^ "\n")) lines);
+      In_channel.with_open_text path reader)
+
+let beginl ?(parent = -1) id name ts =
+  Printf.sprintf "{\"ts\":%g,\"ev\":\"span.begin\",\"span\":%d,\"parent\":%d,\"name\":\"%s\"}"
+    ts id parent name
+
+let endl id name ts =
+  Printf.sprintf "{\"ts\":%g,\"ev\":\"span.end\",\"span\":%d,\"name\":\"%s\",\"dur_s\":0.1}" ts
+    id name
+
 let test_validator_span_balance () =
-  let run lines =
-    let path = Filename.temp_file "qsmt_val" ".jsonl" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        let oc = open_out path in
-        List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-        close_out oc;
-        Telemetry.validate_jsonl_file path)
-  in
-  let beginl ?(parent = -1) id name ts =
-    Printf.sprintf "{\"ts\":%g,\"ev\":\"span.begin\",\"span\":%d,\"parent\":%d,\"name\":\"%s\"}"
-      ts id parent name
-  in
-  let endl id name ts =
-    Printf.sprintf "{\"ts\":%g,\"ev\":\"span.end\",\"span\":%d,\"name\":\"%s\",\"dur_s\":0.1}" ts
-      id name
-  in
+  let run = read_lines Trace.validate in
   (* well-nested pair passes *)
   (match run [ beginl 1 "a" 0.1; beginl ~parent:1 2 "b" 0.2; endl 2 "b" 0.3; endl 1 "a" 0.4 ] with
   | Ok 4 -> ()
@@ -509,25 +512,27 @@ let test_chrome_export () =
               Telemetry.with_span t ~parent:solve "sample" (fun sp ->
                   Telemetry.emit t ~span:sp "sa.sweep" [ ("sweep", Telemetry.Int 1) ]);
               Telemetry.count t "sa.reads" 8));
-      match Telemetry.export_chrome_file ~src ~dst with
+      match
+        In_channel.with_open_text src (fun ic -> Out_channel.with_open_text dst (Trace.to_chrome ic))
+      with
       | Error msg -> Alcotest.failf "export failed: %s" msg
       | Ok n ->
         check Alcotest.bool "events written" true (n > 0);
         let text = In_channel.with_open_text dst In_channel.input_all in
-        (match Telemetry.parse_json text with
+        (match Json.parse text with
         | Error msg -> Alcotest.failf "chrome output is not JSON: %s" msg
-        | Ok (Telemetry.J_obj kvs) ->
+        | Ok (Json.Obj kvs) ->
           (match List.assoc_opt "traceEvents" kvs with
-          | Some (Telemetry.J_list evs) ->
+          | Some (Json.List evs) ->
             check Alcotest.bool "traceEvents non-empty" true (evs <> []);
             (* both spans become complete ("X") slices *)
             let phases =
               List.filter_map
                 (fun e ->
                   match e with
-                  | Telemetry.J_obj fields -> (
+                  | Json.Obj fields -> (
                     match List.assoc_opt "ph" fields with
-                    | Some (Telemetry.J_str p) -> Some p
+                    | Some (Json.Str p) -> Some p
                     | _ -> None)
                   | _ -> None)
                 evs
@@ -536,6 +541,41 @@ let test_chrome_export () =
               (List.length (List.filter (( = ) "X") phases))
           | _ -> Alcotest.fail "no traceEvents array")
         | Ok _ -> Alcotest.fail "chrome output is not a JSON object"))
+
+(* A crashed run leaves its trace cut short: replay still reads it and
+   reports what was open. The first four lines of this trace are solve
+   begin, encode begin, encode.done and encode end. *)
+let test_replay_cut_trace () =
+  let path = Filename.temp_file "qsmt_cut" ".jsonl" in
+  let lines =
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        Telemetry.with_jsonl path (fun t ->
+            Telemetry.with_span t "solve" (fun solve ->
+                Telemetry.with_span t ~parent:solve "encode" (fun sp ->
+                    Telemetry.emit t ~span:sp "encode.done" [ ("vars", Telemetry.Int 35) ]);
+                Telemetry.with_span t ~parent:solve "sample" ignore));
+        In_channel.with_open_text path In_channel.input_lines)
+  in
+  match read_lines Trace.replay (List.filteri (fun i _ -> i < 4) lines) with
+  | Error msg -> Alcotest.failf "cut trace rejected: %s" msg
+  | Ok snap ->
+    check Alcotest.(list (pair string int)) "solve still open" [ ("solve", 1) ]
+      snap.Telemetry.snap_open_spans;
+    check Alcotest.(option string) "phase is the open span" (Some "solve") snap.Telemetry.snap_phase;
+    (match snap.Telemetry.snap_spans with
+    | [ ("encode", 1, _) ] -> ()
+    | _ -> Alcotest.fail "expected the closed encode span only")
+
+let test_replay_rejects_stray_end () =
+  let ghost = [ endl 9 "ghost" 0.1 ] in
+  match (read_lines Trace.replay ghost, read_lines Trace.validate ghost) with
+  | Error replayed, Error validated ->
+    check Alcotest.string "validator's message" validated replayed;
+    check Alcotest.string "names the line" "line 1: span.end for id 9 which is not open" replayed
+  | Ok _, _ -> Alcotest.fail "replay accepted a span.end with no begin"
+  | _, Ok _ -> Alcotest.fail "validate accepted a span.end with no begin"
 
 (* ------------------------------------------------------------------ *)
 
@@ -576,5 +616,7 @@ let () =
           Alcotest.test_case "pool instrumentation" `Quick test_pool_instrumentation;
           Alcotest.test_case "validator span balance" `Quick test_validator_span_balance;
           Alcotest.test_case "chrome export" `Quick test_chrome_export;
+          Alcotest.test_case "replay of a cut trace" `Quick test_replay_cut_trace;
+          Alcotest.test_case "replay rejects a stray span.end" `Quick test_replay_rejects_stray_end;
         ] );
     ]
