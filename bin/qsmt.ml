@@ -383,51 +383,64 @@ let with_telemetry ~trace ~metrics ?(metrics_out = None) ?(progress = false) ?tt
     summarize t (f t)
   | None -> f Telemetry.null
 
-(* Callers must route [`Classical] to the CDCL bit-blasting path before
-   coming here — it is a different solver family, not a sampler, and an
-   earlier revision silently handed such requests to [Sampler.exact]. *)
-let build_sampler kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology ~topology_size
-    ~chain_strength ~noise ~packed =
-  match kind with
-  | `Sa ->
-    let params = { Sa.default with Sa.seed; reads; sweeps; domains } in
-    if packed then Sampler.simulated_annealing_packed ~params ()
-    else Sampler.simulated_annealing ~params ()
-  | `Sqa ->
-    Sampler.simulated_quantum_annealing
-      ~params:{ Sqa.default with Sqa.seed; sweeps = max 1 (sweeps / 2); reads; domains } ()
-  | `Tabu -> Sampler.tabu ~params:{ Tabu.default with Tabu.seed; restarts = reads; iterations = sweeps } ()
-  | `Greedy ->
-    ignore Greedy.default;
-    Sampler.greedy ~params:{ Greedy.seed; restarts = reads; domains } ()
-  | `Exact -> Sampler.exact ()
-  | `Hardware ->
-    (* Parameters are derived per problem: auto-sizing needs the compiled
-       QUBO, which only exists once the constraint is encoded. *)
-    Sampler.hardware_auto (fun q ->
-        let topology =
-          if topology_size > 0 then
-            match topology with
-            | `Chimera -> Topology.chimera ~m:topology_size ()
-            | `King -> Topology.king ~rows:topology_size ~cols:topology_size
-            | `Complete -> Topology.complete topology_size
-          else Hardware.auto_topology ~seed ~kind:topology q
-        in
-        { (Hardware.default_params topology) with
-          Hardware.chain_strength;
-          noise_sigma = noise;
-          anneal = { Sa.default with Sa.seed; reads; sweeps; domains } })
-  | `Portfolio ->
-    let members = Portfolio.default_members ~seed in
-    let members =
-      (* The packed racer takes the reads knob (it shines at high read
-         counts); like every member its internal parallelism stays off. *)
-      if packed then
-        members @ [ Portfolio.M_sa_packed { Sa.default with Sa.seed; reads; sweeps; domains = 1 } ]
-      else members
-    in
-    Sampler.portfolio ~params:{ Portfolio.members; jobs; budget } ()
-  | `Classical -> invalid_arg "build_sampler: classical is not a sampler"
+(* The sampler every solving command takes, from its 12 flags. [None]
+   is [--sampler classical]: CDCL bit-blasting is a different solver
+   family, not a sampler, and an earlier revision silently handed such
+   requests to [Sampler.exact]. *)
+let sampler_term =
+  let build kind seed reads sweeps domains packed jobs budget topology topology_size
+      chain_strength noise =
+    let sa = { Sa.default with Sa.seed; reads; sweeps; domains } in
+    match kind with
+    | `Classical -> None
+    | `Sa when packed -> Some (Sampler.simulated_annealing_packed ~params:sa ())
+    | `Sa -> Some (Sampler.simulated_annealing ~params:sa ())
+    | `Sqa ->
+      Some
+        (Sampler.simulated_quantum_annealing
+           ~params:{ Sqa.default with Sqa.seed; sweeps = max 1 (sweeps / 2); reads; domains }
+           ())
+    | `Tabu ->
+      Some
+        (Sampler.tabu
+           ~params:{ Tabu.default with Tabu.seed; restarts = reads; iterations = sweeps; domains }
+           ())
+    | `Greedy -> Some (Sampler.greedy ~params:{ Greedy.seed; restarts = reads; domains } ())
+    | `Exact -> Some (Sampler.exact ())
+    | `Hardware ->
+      (* Parameters are derived per problem: auto-sizing needs the
+         compiled QUBO, which only exists once the constraint is
+         encoded. *)
+      Some
+        (Sampler.hardware_auto (fun q ->
+             let topology =
+               if topology_size > 0 then
+                 match topology with
+                 | `Chimera -> Topology.chimera ~m:topology_size ()
+                 | `King -> Topology.king ~rows:topology_size ~cols:topology_size
+                 | `Complete -> Topology.complete topology_size
+               else Hardware.auto_topology ~seed ~kind:topology q
+             in
+             { (Hardware.default_params topology) with
+               Hardware.chain_strength;
+               noise_sigma = noise;
+               anneal = sa }))
+    | `Portfolio ->
+      let members = Portfolio.default_members ~seed in
+      let members =
+        (* The packed racer takes the reads knob (it shines at high read
+           counts); like every member its internal parallelism stays
+           off. *)
+        if packed then
+          members
+          @ [ Sampler.simulated_annealing_packed ~params:{ sa with Sa.domains = 1 } () ]
+        else members
+      in
+      Some (Portfolio.sampler ~params:{ Portfolio.members; jobs; budget } ())
+  in
+  Term.(
+    const build $ sampler_arg $ seed_arg $ reads_arg $ sweeps_arg $ domains_arg $ packed_arg
+    $ jobs_arg $ budget_arg $ topology_arg $ topology_size_arg $ chain_strength_arg $ noise_arg)
 
 (* CDCL bit-blasting as an SMT-LIB theory backend: complete on the
    supported fragment, so (unlike the samplers) it may answer `Unsat.
@@ -573,9 +586,8 @@ let absint_summary ppf (a : Absint.analysis) =
   Format.fprintf ppf "%s — %d iteration(s), %d fact(s), %d/%d position(s) fixed" verdict
     a.Absint.iterations a.Absint.facts (Absint.num_fixed_positions a) a.Absint.length
 
-let gen_action op args sampler_kind seed reads sweeps domains packed jobs budget topology
-    topology_size chain_strength noise show_matrix param_assigns lint_level no_absint trace
-    metrics metrics_out =
+let gen_action op args sampler show_matrix param_assigns lint_level no_absint trace metrics
+    metrics_out =
   let params = params_of_assignments param_assigns in
   match constraint_of_op op args with
   | Error (`Msg m) ->
@@ -588,7 +600,8 @@ let gen_action op args sampler_kind seed reads sweeps domains packed jobs budget
       2
     | Ok () ->
       Format.printf "constraint: %s@." (Constr.describe constr);
-      if sampler_kind = `Classical then begin
+      match sampler with
+      | None ->
         let o = Strsolver.solve constr in
         (match o.Strsolver.result with
         | `Sat ->
@@ -600,12 +613,7 @@ let gen_action op args sampler_kind seed reads sweeps domains packed jobs budget
         | `Unsat -> Format.printf "result    : unsat@."
         | `Unknown -> Format.printf "result    : unknown (budget)@.");
         if o.Strsolver.satisfied || o.Strsolver.result = `Unsat then 0 else 1
-      end
-      else begin
-        let sampler =
-          build_sampler sampler_kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology
-            ~topology_size ~chain_strength ~noise ~packed
-        in
+      | Some sampler ->
         let absint = if no_absint then `Off else `On in
         let result =
           with_telemetry ~trace ~metrics ~metrics_out
@@ -656,7 +664,6 @@ let gen_action op args sampler_kind seed reads sweeps domains packed jobs budget
           List.iter (fun f -> Format.eprintf "  %a@." Analyze.pp_finding f) findings;
           1
         | Ok (outcome, _) -> if outcome.Solver.satisfied then 0 else 1
-      end
   end
 
 let gen_cmd =
@@ -665,10 +672,8 @@ let gen_cmd =
   in
   let term =
     Term.(
-      const gen_action $ op_arg $ op_args $ sampler_arg $ seed_arg $ reads_arg $ sweeps_arg
-      $ domains_arg $ packed_arg $ jobs_arg $ budget_arg $ topology_arg $ topology_size_arg
-      $ chain_strength_arg $ noise_arg $ show_matrix $ param_arg $ lint_level_arg $ no_absint_arg
-      $ trace_arg $ metrics_arg $ metrics_out_arg)
+      const gen_action $ op_arg $ op_args $ sampler_term $ show_matrix $ param_arg
+      $ lint_level_arg $ no_absint_arg $ trace_arg $ metrics_arg $ metrics_out_arg)
   in
   Cmd.v
     (Cmd.info "gen" ~doc:"Generate a string (or position) satisfying one operation."
@@ -1200,8 +1205,7 @@ let matrix_cmd =
 (* ------------------------------------------------------------------ *)
 (* run *)
 
-let run_action path sampler_kind seed reads sweeps domains packed jobs budget topology
-    topology_size chain_strength noise no_absint trace metrics metrics_out progress =
+let run_action path sampler no_absint trace metrics metrics_out progress =
   let source =
     if path = "-" then In_channel.input_all In_channel.stdin
     else In_channel.with_open_text path In_channel.input_all
@@ -1209,14 +1213,9 @@ let run_action path sampler_kind seed reads sweeps domains packed jobs budget to
   let absint = if no_absint then `Off else `On in
   let result =
     with_telemetry ~trace ~metrics ~metrics_out ~progress (fun telemetry ->
-        match sampler_kind with
-        | `Classical -> Interp.run_string ~backend:(classical_backend ()) ~telemetry source
-        | _ ->
-          let sampler =
-            build_sampler sampler_kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology
-              ~topology_size ~chain_strength ~noise ~packed
-          in
-          Interp.run_string ~sampler ~absint ~telemetry source)
+        match sampler with
+        | None -> Interp.run_string ~backend:(classical_backend ()) ~telemetry source
+        | Some sampler -> Interp.run_string ~sampler ~absint ~telemetry source)
   in
   match result with
   | Ok lines ->
@@ -1233,9 +1232,8 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Execute an SMT-LIB script (QF_S generative fragment).")
     Term.(
-      const run_action $ path $ sampler_arg $ seed_arg $ reads_arg $ sweeps_arg $ domains_arg
-      $ packed_arg $ jobs_arg $ budget_arg $ topology_arg $ topology_size_arg $ chain_strength_arg
-      $ noise_arg $ no_absint_arg $ trace_arg $ metrics_arg $ metrics_out_arg $ progress_arg)
+      const run_action $ path $ sampler_term $ no_absint_arg $ trace_arg $ metrics_arg
+      $ metrics_out_arg $ progress_arg)
 
 (* ------------------------------------------------------------------ *)
 (* repl *)
@@ -1246,17 +1244,11 @@ let run_cmd =
    with its encode cache, warm starts and learned clauses — across
    commands, and recovers from errors instead of aborting the way
    `qsmt run` does. *)
-let repl_action sampler_kind seed reads sweeps domains packed jobs budget topology
-    topology_size chain_strength noise no_absint =
+let repl_action sampler no_absint =
   let st =
-    match sampler_kind with
-    | `Classical -> Interp.create ~backend:(classical_backend ()) ()
-    | _ ->
-      let sampler =
-        build_sampler sampler_kind ~seed ~reads ~sweeps ~domains ~jobs ~budget ~topology
-          ~topology_size ~chain_strength ~noise ~packed
-      in
-      Interp.create ~sampler ~absint:(if no_absint then `Off else `On) ()
+    match sampler with
+    | None -> Interp.create ~backend:(classical_backend ()) ()
+    | Some sampler -> Interp.create ~sampler ~absint:(if no_absint then `Off else `On) ()
   in
   let stop = ref None in
   let exec_chunk chunk =
@@ -1353,9 +1345,7 @@ let repl_cmd =
               4))(check-sat)(get-model)(exit)' | qsmt repl";
          ])
     Term.(
-      const repl_action $ sampler_arg $ seed_arg $ reads_arg $ sweeps_arg $ domains_arg
-      $ packed_arg $ jobs_arg $ budget_arg $ topology_arg $ topology_size_arg $ chain_strength_arg
-      $ noise_arg $ no_absint_arg)
+      const repl_action $ sampler_term $ no_absint_arg)
 
 (* ------------------------------------------------------------------ *)
 (* export *)

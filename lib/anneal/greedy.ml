@@ -1,8 +1,6 @@
 module Bitvec = Qsmt_util.Bitvec
 module Prng = Qsmt_util.Prng
-module Parallel = Qsmt_util.Parallel
 module Telemetry = Qsmt_util.Telemetry
-module Qubo = Qsmt_qubo.Qubo
 module Ising = Qsmt_qubo.Ising
 module Fields = Qsmt_qubo.Fields
 
@@ -11,7 +9,9 @@ type params = { restarts : int; seed : int; domains : int }
 let default = { restarts = 32; seed = 0; domains = 1 }
 
 (* Steepest descent over cached deltas: each round scans n O(1) deltas and
-   pays one O(degree) update for the accepted flip. *)
+   pays one O(degree) update for the accepted flip. A move must gain more
+   than 1e-12, so rounding noise cannot cycle; energy strictly decreases,
+   so the descent terminates. *)
 let descend_fields fields =
   let n = Fields.num_spins fields in
   let improved = ref true in
@@ -38,37 +38,14 @@ let descend q x =
 
 let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null) q =
   if params.restarts < 1 then invalid_arg "Greedy.sample: restarts < 1";
-  let n = Qubo.num_vars q in
-  (match init with
-  | Some b when Bitvec.length b <> n ->
-    invalid_arg
-      (Printf.sprintf "Greedy.sample: init has %d bits, problem has %d vars" (Bitvec.length b) n)
-  | _ -> ());
-  if n = 0 then Sampleset.of_bits q [ Bitvec.create 0 ]
-  else begin
-    let ising = Ising.of_qubo q in
-    let stopped () = match stop with Some f -> f () | None -> false in
-    let tracked = Telemetry.enabled telemetry in
-    let run r =
-      if stopped () then None
-      else begin
+  Reads.run ~who:"Greedy.sample" ~name:"greedy" ~jobs:params.restarts ~domains:params.domains
+    ?init ?stop ?on_read ~telemetry q (fun ising ->
+      let n = Ising.num_spins ising in
+      let read r init =
         let rng = Prng.stream ~seed:params.seed r in
-        let start =
-          match init with
-          | Some b when r = 0 -> Bitvec.copy b
-          | _ -> Bitvec.random rng n
-        in
+        let start = match init with Some b -> Bitvec.copy b | None -> Bitvec.random rng n in
         let fields = Fields.create ising start in
         descend_fields fields;
-        let bits = Fields.spins fields in
-        if tracked then begin
-          Telemetry.count telemetry "greedy.reads" 1;
-          Telemetry.observe telemetry "greedy.read_energy" (Fields.energy fields)
-        end;
-        (match on_read with Some f -> f bits | None -> ());
-        Some (bits, Fields.energy fields)
-      end
-    in
-    let samples = Parallel.init_array ~telemetry ~domains:params.domains params.restarts run in
-    Sampleset.of_tracked q (List.filter_map Fun.id (Array.to_list samples))
-  end
+        [| (Fields.spins fields, Fields.energy fields) |]
+      in
+      { Reads.sweeps = 0; proposals = n; read })

@@ -23,11 +23,15 @@ val sample :
   Qsmt_qubo.Qubo.t ->
   Sampleset.t
 (** One entry per restart: the local minimum reached by steepest descent
-    from a random start. [init] replaces restart 0's random start with
-    the given assignment (see {!Sa.sample}). [stop] and [on_read] follow the cooperative
-    cancellation contract documented at {!Sa.sample} (descents are not
-    interrupted mid-run; [stop] skips remaining restarts). [telemetry]
-    records [greedy.reads] and a [greedy.read_energy] histogram. *)
+    from a random start. Restarts run through {!Reads}, which owns the
+    [init], [stop] and [on_read] contract and the [greedy.reads] /
+    [greedy.read_energy] aggregates; a descent is not interrupted
+    mid-run. *)
+
+val descend_fields : Qsmt_qubo.Fields.t -> unit
+(** Steepest descent in place: flips the variable with the most negative
+    delta until no move gains more than 1e-12. The one descent kernel —
+    {!Sa}'s [postprocess] runs it too. *)
 
 val descend : Qsmt_qubo.Qubo.t -> Qsmt_util.Bitvec.t -> Qsmt_util.Bitvec.t
 (** [descend q x] runs steepest descent from [x] (not mutated) and

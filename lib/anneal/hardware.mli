@@ -99,10 +99,11 @@ val sample :
   ?telemetry:Qsmt_util.Telemetry.t ->
   Qsmt_qubo.Qubo.t ->
   result
-(** [stop] and [on_read] have {!Sa.sample} semantics — [on_read] observes
-    each completed read already projected to {e logical} bits (majority
-    vote, seeded tie-breaks), which is what the portfolio's verifier
-    needs; [stop] also aborts pending escalation retries.
+(** [stop] and [on_read] follow the {!Reads} contract of the inner
+    {!Sa.sample} — [on_read] observes each completed read already
+    projected to {e logical} bits (majority vote, seeded tie-breaks),
+    which is what early exit's verifier needs; [stop] also aborts
+    pending escalation retries.
 
     [telemetry] records the QPU workflow as events: [hardware.embed]
     (topology, cache_hit, tries, qubits_used, max_chain) once per call,

@@ -1,20 +1,11 @@
 module Bitvec = Qsmt_util.Bitvec
 module Parallel = Qsmt_util.Parallel
+module Mclock = Qsmt_util.Mclock
 module Telemetry = Qsmt_util.Telemetry
 module Qubo = Qsmt_qubo.Qubo
 
-type member =
-  | M_sa of Sa.params
-  | M_sa_packed of Sa.params
-  | M_sqa of Sqa.params
-  | M_tabu of Tabu.params
-  | M_pt of Pt.params
-  | M_greedy of Greedy.params
-  | M_exact of int option
-  | M_hardware of Hardware.params
-
 type params = {
-  members : member list;
+  members : Sampler.t list;
   jobs : int;
   budget : float option;
 }
@@ -35,65 +26,15 @@ type result = {
   wall_time : float;
 }
 
-let member_name = function
-  | M_sa _ -> "sa"
-  | M_sa_packed _ -> "sa_packed"
-  | M_sqa _ -> "sqa"
-  | M_tabu _ -> "tabu"
-  | M_pt _ -> "pt"
-  | M_greedy _ -> "greedy"
-  | M_exact _ -> "exact"
-  | M_hardware _ -> "hardware"
-
-(* Portfolio members run one per job slot, so their internal read
-   parallelism stays off ([domains = 1]) — the concurrency budget is
-   spent across members, not within them. *)
-let member_with_seed seed = function
-  | M_sa p -> M_sa { p with Sa.seed; domains = 1 }
-  | M_sa_packed p -> M_sa_packed { p with Sa.seed; domains = 1 }
-  | M_sqa p -> M_sqa { p with Sqa.seed; domains = 1 }
-  | M_tabu p -> M_tabu { p with Tabu.seed; domains = 1 }
-  | M_pt p -> M_pt { p with Pt.seed; domains = 1 }
-  | M_greedy p -> M_greedy { p with Greedy.seed; domains = 1 }
-  | M_exact _ as m -> m
-  | M_hardware p ->
-    M_hardware { p with Hardware.anneal = { p.Hardware.anneal with Sa.seed; domains = 1 } }
-
-let default_members ~seed =
-  List.map (member_with_seed seed)
-    [
-      M_sa Sa.default;
-      M_sqa Sqa.default;
-      M_pt Pt.default;
-      M_tabu Tabu.default;
-      M_greedy Greedy.default;
-    ]
+(* Members run one per job slot, so their internal read parallelism
+   stays off — every default has [domains = 1] — and the concurrency
+   budget is spent across members, not within them. *)
+let default_members = Sampler.default_suite
 
 let default = { members = default_members ~seed:0; jobs = 0; budget = None }
 
-let reseed params seed = { params with members = List.map (member_with_seed seed) params.members }
-
-(* Returns the member's samples plus the hardware diagnostics when the
-   member is the QPU-workflow emulation (its [on_read] already sees
-   logical bits, so the shared verifier applies unchanged). *)
-let run_member ?init ~stop ~on_read ~telemetry member q =
-  match member with
-  | M_sa params -> (Sa.sample ~params ?init ~stop ~on_read ~telemetry q, None)
-  | M_sa_packed params -> (Sa.run_packed ~params ?init ~stop ~on_read ~telemetry q, None)
-  | M_sqa params -> (Sqa.sample ~params ?init ~stop ~on_read ~telemetry q, None)
-  | M_tabu params -> (Tabu.sample ~params ?init ~stop ~on_read ~telemetry q, None)
-  | M_pt params -> (Pt.sample ~params ?init ~stop ~on_read ~telemetry q, None)
-  | M_greedy params -> (Greedy.sample ~params ?init ~stop ~on_read ~telemetry q, None)
-  | M_exact keep -> (Exact.solve ?keep ~stop q, None)
-  | M_hardware params ->
-    (* The hardware path samples over physical qubits behind a minor
-       embedding; a logical warm start has no direct physical image, so
-       it is ignored rather than guessed. *)
-    let r = Hardware.sample ~params ~stop ~on_read ~telemetry q in
-    (r.Hardware.samples, Some r.Hardware.stats)
-
 let run ?(params = default) ?init ?verify ?(telemetry = Telemetry.null) q =
-  if params.members = [] then invalid_arg "Portfolio.run: no members";
+  if List.is_empty params.members then invalid_arg "Portfolio.run: no members";
   (match params.budget with
   | Some b when b <= 0. -> invalid_arg "Portfolio.run: budget <= 0"
   | _ -> ());
@@ -102,7 +43,7 @@ let run ?(params = default) ?init ?verify ?(telemetry = Telemetry.null) q =
   let jobs =
     if params.jobs > 0 then min params.jobs n else min (Parallel.recommended_domains ()) n
   in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Mclock.now () in
   (* Set once a verified sample is found (or, defensively, never): every
      member's stop closure reads it, so one member's win cancels the rest
      at their next poll point. *)
@@ -117,24 +58,24 @@ let run ?(params = default) ?init ?verify ?(telemetry = Telemetry.null) q =
         Telemetry.emit telemetry "portfolio.winner"
           [
             ("member", Telemetry.Str name);
-            ("elapsed_s", Telemetry.Float (Unix.gettimeofday () -. t0));
+            ("elapsed_s", Telemetry.Float (Mclock.now () -. t0));
           ]
     end
   in
   let reports = Array.make n None in
   let run_one k =
     let m = members.(k) in
-    let name = member_name m in
+    let name = m.Sampler.name in
     if tracked then
       Telemetry.emit telemetry "portfolio.member.start"
         [ ("member", Telemetry.Str name); ("index", Telemetry.Int k) ];
-    let started = Unix.gettimeofday () in
+    let started = Mclock.now () in
     let deadline =
       match params.budget with Some b -> Some (started +. b) | None -> None
     in
     let stop () =
       Atomic.get stop_all
-      || match deadline with Some d -> Unix.gettimeofday () > d | None -> false
+      || match deadline with Some d -> Mclock.now () > d | None -> false
     in
     let on_read bits =
       match verify with
@@ -149,7 +90,7 @@ let run ?(params = default) ?init ?verify ?(telemetry = Telemetry.null) q =
     let samples, hardware, failed =
       if Atomic.get stop_all then (Sampleset.empty, None, None)
       else
-        match run_member ?init ~stop ~on_read ~telemetry m q with
+        match m.Sampler.sample ?init ~stop ~on_read ~telemetry q with
         | samples, hardware ->
           (* Heuristic members verify through [on_read]; [Exact] only
              yields a sample set at the end, so scan it here. Re-scanning
@@ -169,7 +110,7 @@ let run ?(params = default) ?init ?verify ?(telemetry = Telemetry.null) q =
         | exception e -> (Sampleset.empty, None, Some (Printexc.to_string e))
     in
     if failed <> None then Telemetry.count telemetry "portfolio.member_failed" 1;
-    let finished = Unix.gettimeofday () in
+    let finished = Mclock.now () in
     let cancelled =
       (Atomic.get stop_all || match deadline with Some d -> finished > d | None -> false)
       && failed = None
@@ -211,7 +152,7 @@ let run ?(params = default) ?init ?verify ?(telemetry = Telemetry.null) q =
          | None ->
            Telemetry.count telemetry "portfolio.member_failed" 1;
            {
-             member_name = member_name members.(k);
+             member_name = members.(k).Sampler.name;
              samples = Sampleset.empty;
              elapsed = 0.;
              cancelled = false;
@@ -226,5 +167,20 @@ let run ?(params = default) ?init ?verify ?(telemetry = Telemetry.null) q =
     merged;
     winner = Atomic.get winner;
     reports;
-    wall_time = Unix.gettimeofday () -. t0;
+    wall_time = Mclock.now () -. t0;
+  }
+
+let rec sampler ?(params = default) () =
+  {
+    Sampler.name = "portfolio";
+    (* The race verifies through its own hooks, so the caller's stop and
+       on_read have nothing to add. *)
+    sample =
+      (fun ?init ?stop:_ ?on_read:_ ?verify ~telemetry q ->
+        let r = run ~params ?init ?verify ~telemetry q in
+        (r.merged, List.find_map (fun rep -> rep.hardware) r.reports));
+    reseed =
+      (fun seed ->
+        let members = List.map (fun m -> Sampler.with_seed m seed) params.members in
+        sampler ~params:{ params with members } ());
   }

@@ -11,28 +11,17 @@
     cooperatively at its next poll point, so time-to-solution is the
     fastest member's, not the slowest's.
 
-    A per-member wall-clock [budget] bounds each member independently,
-    so one slow member (e.g. [M_exact] on a 30-variable problem) cannot
-    hang the portfolio past its deadline. *)
+    Members are plain {!Sampler.t} values: each runs through its own
+    [sample] with the race's shared [stop] and [on_read] hooks (see
+    {!Reads} for that contract), so every sampler the repository builds,
+    the hardware path included, can race.
 
-type member =
-  | M_sa of Sa.params
-  | M_sa_packed of Sa.params
-      (** multi-read SA through the bit-parallel {!Qsmt_qubo.Multispin}
-          kernel ({!Sa.run_packed}): same read semantics as [M_sa], one
-          packed state per 64 reads — the high-reads racer *)
-  | M_sqa of Sqa.params
-  | M_tabu of Tabu.params
-  | M_pt of Pt.params
-  | M_greedy of Greedy.params
-  | M_exact of int option  (** [keep] for {!Exact.solve} *)
-  | M_hardware of Hardware.params
-      (** the QPU-workflow emulation ({!Hardware.sample}): races
-          topology-constrained sampling against the all-to-all heuristics;
-          its reads reach the shared verifier already unembedded *)
+    A per-member wall-clock [budget] bounds each member independently,
+    so one slow member (e.g. {!Sampler.exact} on a 30-variable problem)
+    cannot hang the portfolio past its deadline. *)
 
 type params = {
-  members : member list;  (** raced samplers, in report order *)
+  members : Sampler.t list;  (** raced samplers, in report order *)
   jobs : int;
       (** concurrent members; [<= 0] (default) means
           {!Qsmt_util.Parallel.recommended_domains} *)
@@ -51,7 +40,7 @@ type member_report = {
           surfaces here while the survivors keep running, and each
           failure bumps the [portfolio.member_failed] counter *)
   hardware : Hardware.stats option;
-      (** chain/embedding diagnostics, for [M_hardware] members only *)
+      (** chain/embedding diagnostics, for hardware members only *)
 }
 
 type result = {
@@ -59,20 +48,16 @@ type result = {
   winner : (string * Qsmt_util.Bitvec.t) option;
       (** first verified (member, bits), if [verify] was given and hit *)
   reports : member_report list;  (** one per member, in [members] order *)
-  wall_time : float;
+  wall_time : float;  (** seconds on {!Qsmt_util.Mclock}, the monotone clock *)
 }
 
-val default_members : seed:int -> member list
-(** SA, SQA, PT, tabu, greedy with default parameters, all reseeded to
-    [seed] and internal read-parallelism off (the portfolio spends its
-    concurrency across members). *)
+val default_members : seed:int -> Sampler.t list
+(** SA, SQA, PT, tabu, greedy with default parameters, all seeded with
+    [seed] and internal read-parallelism off ([domains = 1]: the
+    portfolio spends its concurrency across members). *)
 
 val default : params
 (** [default_members ~seed:0], auto [jobs], no budget. *)
-
-val reseed : params -> int -> params
-(** Reseeds every member ([M_exact] is seedless and unchanged;
-    [M_hardware] reseeds its inner annealer). *)
 
 val run :
   ?params:params ->
@@ -83,7 +68,7 @@ val run :
   result
 (** Races the members. [init] warm-starts the first read/restart of every
     heuristic member from the given assignment (ignored by exact and
-    hardware members); see {!Sa.sample}. Without [verify] (and with no
+    hardware members); see {!Reads}. Without [verify] (and with no
     budget) every member
     runs to completion and [merged] is deterministic — a pure function of
     [params], independent of [jobs]. With [verify], member sample sets
@@ -100,3 +85,10 @@ val run :
     is mutex-serialised, so concurrent members may emit freely.
     @raise Invalid_argument on an empty member list or non-positive
     budget. *)
+
+val sampler : ?params:params -> unit -> Sampler.t
+(** The race as a {!Sampler.t} named ["portfolio"]: it merges the
+    members' sets, honours {!Sampler.run}'s [verify] for early exit and
+    reports the first hardware member's stats. Reseeding it reseeds every
+    member and keeps each member's other parameters, [domains]
+    included. Use {!run} directly when you need per-member reports. *)

@@ -1,8 +1,6 @@
 module Bitvec = Qsmt_util.Bitvec
 module Prng = Qsmt_util.Prng
-module Parallel = Qsmt_util.Parallel
 module Telemetry = Qsmt_util.Telemetry
-module Qubo = Qsmt_qubo.Qubo
 module Ising = Qsmt_qubo.Ising
 module Multispin = Qsmt_qubo.Multispin
 
@@ -101,36 +99,27 @@ let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null
   if params.replicas > Multispin.max_lanes then
     invalid_arg (Printf.sprintf "Pt.sample: replicas > %d" Multispin.max_lanes);
   if params.exchange_interval < 1 then invalid_arg "Pt.sample: exchange_interval < 1";
-  let n = Qubo.num_vars q in
-  (match init with
-  | Some b when Bitvec.length b <> n ->
-    invalid_arg
-      (Printf.sprintf "Pt.sample: init has %d bits, problem has %d vars" (Bitvec.length b) n)
-  | _ -> ());
-  if n = 0 then Sampleset.of_bits q [ Bitvec.create 0 ]
-  else begin
-    let ising = Ising.of_qubo q in
-    let beta_hot, beta_cold =
-      match params.beta_range with
-      | Some (hot, cold) ->
-        if hot <= 0. || cold < hot then invalid_arg "Pt.sample: bad beta_range";
-        (hot, cold)
-      | None -> Schedule.default_beta_range ising
-    in
-    let k = params.replicas in
-    (* The geometric replica ladder is exactly [Schedule.make]'s geometric
-       grid (bit-identical for k >= 2); reusing it also inherits the
-       single-replica guard — the hand-rolled [1 / (k - 1)] here used to
-       divide by zero at k = 1. One replica degenerates to plain
-       Metropolis at [beta_cold] with no exchanges, which is still a
-       valid sampler. *)
-    let betas = Schedule.betas (Schedule.make ~beta_hot ~beta_cold ~sweeps:k ()) in
-    let stopped () = match stop with Some f -> f () | None -> false in
-    let tracked = Telemetry.enabled telemetry in
-    let stride = Sa.sweep_stride params.sweeps in
-    let run r =
-      if stopped () then None
-      else begin
+  Reads.run ~who:"Pt.sample" ~name:"pt" ~jobs:params.reads ~domains:params.domains ?init ?stop
+    ?on_read ~telemetry q (fun ising ->
+      let beta_hot, beta_cold =
+        match params.beta_range with
+        | Some (hot, cold) ->
+          if hot <= 0. || cold < hot then invalid_arg "Pt.sample: bad beta_range";
+          (hot, cold)
+        | None -> Schedule.default_beta_range ising
+      in
+      (* The geometric replica ladder is exactly [Schedule.make]'s
+         geometric grid (bit-identical for k >= 2); reusing it also
+         inherits the single-replica guard — the hand-rolled [1 / (k - 1)]
+         here used to divide by zero at k = 1. One replica degenerates to
+         plain Metropolis at [beta_cold] with no exchanges, which is still
+         a valid sampler. *)
+      let betas =
+        Schedule.betas (Schedule.make ~beta_hot ~beta_cold ~sweeps:params.replicas ())
+      in
+      let tracked = Telemetry.enabled telemetry in
+      let stride = Reads.sweep_stride params.sweeps in
+      let read r init =
         let rng = Prng.stream ~seed:params.seed r in
         let on_sweep =
           if not tracked then None
@@ -148,28 +137,7 @@ let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null
                   if swaps > 0 then Telemetry.count telemetry "pt.replica_swaps" swaps
                 end)
         in
-        let init = if r = 0 then init else None in
-        let ((bits, e) as sample) = run_read ~ising ~params ~betas ?init ?stop ?on_sweep rng in
-        if tracked then begin
-          Telemetry.count telemetry "pt.reads" 1;
-          Telemetry.count telemetry "pt.sweeps" params.sweeps;
-          Telemetry.observe telemetry "pt.read_energy" e
-        end;
-        (match on_read with Some f -> f bits | None -> ());
-        Some sample
-      end
-    in
-    let t0 = if tracked then Qsmt_util.Mclock.now () else 0. in
-    let samples = Parallel.init_array ~telemetry ~domains:params.domains params.reads run in
-    if tracked then begin
-      let done_reads =
-        Array.fold_left (fun a s -> match s with Some _ -> a + 1 | None -> a) 0 samples
+        [| run_read ~ising ~params ~betas ?init ?stop ?on_sweep rng |]
       in
-      let sweeps_done = float_of_int (done_reads * params.sweeps) in
       (* one PT sweep proposes a flip per spin per replica rung *)
-      Sa.throughput_gauges telemetry ~name:"pt" ~sweeps_done
-        ~flips_done:(sweeps_done *. float_of_int (n * params.replicas))
-        ~dt:(Qsmt_util.Mclock.now () -. t0)
-    end;
-    Sampleset.of_tracked q (List.filter_map Fun.id (Array.to_list samples))
-  end
+      { Reads.sweeps = params.sweeps; proposals = Ising.num_spins ising * params.replicas; read })

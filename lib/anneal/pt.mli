@@ -43,11 +43,11 @@ val sample :
   Qsmt_qubo.Qubo.t ->
   Sampleset.t
 (** One entry per read: the coldest replica's best-ever configuration.
-    [init] warm-starts every replica of read 0 from the given assignment;
-    see {!Sa.sample} for the contract. [stop] and [on_read] follow the
-    cooperative cancellation contract documented at {!Sa.sample}. [telemetry] streams strided [pt.sweep]
-    events (read, sweep, best energy, accepted swaps that sweep) plus a
-    [pt.replica_swaps] counter and [pt.reads] / [pt.read_energy].
+    Reads run through {!Reads}, which owns the [init], [stop] and
+    [on_read] contract and the [pt.reads] / [pt.read_energy] aggregates;
+    [init] starts every replica of read 0. [telemetry] also streams
+    strided [pt.sweep] events (read, sweep, best energy, accepted swaps
+    that sweep) and a [pt.replica_swaps] counter.
 
     @raise Invalid_argument on [reads < 1], [sweeps < 1], [replicas < 1],
     [replicas > ]{!Qsmt_qubo.Multispin.max_lanes},

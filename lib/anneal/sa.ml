@@ -1,9 +1,6 @@
 module Bitvec = Qsmt_util.Bitvec
 module Prng = Qsmt_util.Prng
-module Parallel = Qsmt_util.Parallel
 module Telemetry = Qsmt_util.Telemetry
-module Mclock = Qsmt_util.Mclock
-module Qubo = Qsmt_qubo.Qubo
 module Ising = Qsmt_qubo.Ising
 module Fields = Qsmt_qubo.Fields
 module Multispin = Qsmt_qubo.Multispin
@@ -22,39 +19,29 @@ let default = { reads = 32; sweeps = 1000; schedule = None; seed = 0; domains = 
 let read_rng ~seed r = Prng.stream ~seed r
 
 (* The Metropolis loop over an already-built incremental state: O(1) per
-   proposal, O(degree) per accepted flip. The loop body exists twice:
-   the bare variant is the benchmarked hot kernel and must not pay for
-   observability it isn't using; the counting variant additionally tracks
-   accepted flips for the per-sweep callback. *)
+   proposal, O(degree) per accepted flip. Counting accepted flips costs
+   one register increment, so the benchmarked unobserved kernel shares
+   this loop with the per-sweep callback. *)
 let anneal_fields ~rng ~schedule ?on_sweep ?stop fields =
   let n = Fields.num_spins fields in
   let stopped () = match stop with Some f -> f () | None -> false in
   let k = ref 0 in
   let sweeps = Schedule.sweeps schedule in
-  match on_sweep with
-  | None ->
-    while !k < sweeps && not (stopped ()) do
-      let beta = Schedule.beta schedule !k in
-      for i = 0 to n - 1 do
-        let delta = Fields.delta fields i in
-        if delta <= 0. || Prng.float rng < Float.exp (-.beta *. delta) then Fields.flip fields i
-      done;
-      incr k
-    done
-  | Some f ->
-    while !k < sweeps && not (stopped ()) do
-      let beta = Schedule.beta schedule !k in
-      let accepted = ref 0 in
-      for i = 0 to n - 1 do
-        let delta = Fields.delta fields i in
-        if delta <= 0. || Prng.float rng < Float.exp (-.beta *. delta) then begin
-          Fields.flip fields i;
-          incr accepted
-        end
-      done;
-      f ~sweep:!k ~energy:(Fields.energy fields) ~accepted:!accepted;
-      incr k
-    done
+  while !k < sweeps && not (stopped ()) do
+    let beta = Schedule.beta schedule !k in
+    let accepted = ref 0 in
+    for i = 0 to n - 1 do
+      let delta = Fields.delta fields i in
+      if delta <= 0. || Prng.float rng < Float.exp (-.beta *. delta) then begin
+        Fields.flip fields i;
+        incr accepted
+      end
+    done;
+    (match on_sweep with
+    | Some f -> f ~sweep:!k ~energy:(Fields.energy fields) ~accepted:!accepted
+    | None -> ());
+    incr k
+  done
 
 let anneal_ising ~rng ~schedule ?init ?on_sweep ?stop ising =
   let n = Ising.num_spins ising in
@@ -63,79 +50,27 @@ let anneal_ising ~rng ~schedule ?init ?on_sweep ?stop ising =
   anneal_fields ~rng ~schedule ?on_sweep ?stop fields;
   (spins, Fields.energy fields)
 
-let descend_fields fields =
-  (* Steepest descent over cached deltas: picking the best move is an
-     O(n) scan of O(1) reads instead of n adjacency-row rescans.
-     Terminates because energy strictly decreases. *)
-  let n = Fields.num_spins fields in
-  let improved = ref true in
-  while !improved do
-    improved := false;
-    let best_i = ref (-1) and best_delta = ref 0. in
-    for i = 0 to n - 1 do
-      let d = Fields.delta fields i in
-      if d < !best_delta then begin
-        best_delta := d;
-        best_i := i
-      end
-    done;
-    if !best_i >= 0 then begin
-      Fields.flip fields !best_i;
-      improved := true
-    end
-  done
+let check_params who params =
+  if params.reads < 1 then invalid_arg (who ^ ": reads < 1");
+  if params.sweeps < 1 then invalid_arg (who ^ ": sweeps < 1")
 
-(* Strided sweep instrumentation: full trajectories at telemetry
-   resolution would be reads x sweeps events; one event every
-   [sweeps/32] sweeps (plus the final sweep) keeps traces readable while
-   preserving the curve's shape. Shared by every sweep-loop sampler. *)
-let sweep_stride sweeps = max 1 (sweeps / 32)
-
-(* Post-run throughput gauges shared by the sweep-loop samplers:
-   [<name>.sweeps_per_s] and [<name>.flips_per_s] (flips = attempted
-   Metropolis proposals, sweeps × spins — the same convention the flip
-   throughput bench uses). Nominal sweep counts: an early-exited read is
-   charged its full budget, which overstates throughput by at most the
-   truncated tail. *)
-let throughput_gauges telemetry ~name ~sweeps_done ~flips_done ~dt =
-  if dt > 0. && sweeps_done > 0. then begin
-    Telemetry.gauge telemetry (name ^ ".sweeps_per_s") (sweeps_done /. dt);
-    Telemetry.gauge telemetry (name ^ ".flips_per_s") (flips_done /. dt)
-  end
+let schedule_for params ising =
+  match params.schedule with
+  | Some s -> s
+  | None -> Schedule.auto ~sweeps:params.sweeps ising
 
 let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null) q =
-  if params.reads < 1 then invalid_arg "Sa.sample: reads < 1";
-  if params.sweeps < 1 then invalid_arg "Sa.sample: sweeps < 1";
-  let n = Qubo.num_vars q in
-  (match init with
-  | Some b when Bitvec.length b <> n ->
-    invalid_arg
-      (Printf.sprintf "Sa.sample: init has %d bits, problem has %d vars" (Bitvec.length b) n)
-  | _ -> ());
-  if n = 0 then Sampleset.of_bits q [ Bitvec.create 0 ]
-  else begin
-    let ising = Ising.of_qubo q in
-    let schedule =
-      match params.schedule with
-      | Some s -> s
-      | None -> Schedule.auto ~sweeps:params.sweeps ising
-    in
-    let stopped () = match stop with Some f -> f () | None -> false in
-    let tracked = Telemetry.enabled telemetry in
-    let sweeps = Schedule.sweeps schedule in
-    let stride = sweep_stride sweeps in
-    let run_read r =
-      if stopped () then None
-      else begin
+  check_params "Sa.sample" params;
+  Reads.run ~who:"Sa.sample" ~name:"sa" ~jobs:params.reads ~domains:params.domains ?init ?stop
+    ?on_read ~telemetry q (fun ising ->
+      let n = Ising.num_spins ising in
+      let schedule = schedule_for params ising in
+      let tracked = Telemetry.enabled telemetry in
+      let sweeps = Schedule.sweeps schedule in
+      let stride = Reads.sweep_stride sweeps in
+      let read r init =
         let rng = read_rng ~seed:params.seed r in
-        (* Warm start: read 0 anneals from the caller's seed assignment
-           (reverse-anneal style); the other reads stay random so the set
-           retains diversity. *)
-        let start =
-          match init with
-          | Some b when r = 0 -> Bitvec.copy b
-          | _ -> Bitvec.random rng n
-        in
+        let start = match init with Some b -> Bitvec.copy b | None -> Bitvec.random rng n in
         let fields = Fields.create ising start in
         let on_sweep =
           if not tracked then None
@@ -153,29 +88,10 @@ let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null
                     ])
         in
         anneal_fields ~rng ~schedule ?on_sweep ?stop fields;
-        if params.postprocess then descend_fields fields;
-        let spins = Fields.spins fields in
-        if tracked then begin
-          Telemetry.count telemetry "sa.reads" 1;
-          Telemetry.count telemetry "sa.sweeps" sweeps;
-          Telemetry.observe telemetry "sa.read_energy" (Fields.energy fields)
-        end;
-        (match on_read with Some f -> f spins | None -> ());
-        Some (spins, Fields.energy fields)
-      end
-    in
-    let t0 = if tracked then Mclock.now () else 0. in
-    let samples = Parallel.init_array ~telemetry ~domains:params.domains params.reads run_read in
-    if tracked then begin
-      let done_reads =
-        Array.fold_left (fun a s -> match s with Some _ -> a + 1 | None -> a) 0 samples
+        if params.postprocess then Greedy.descend_fields fields;
+        [| (Fields.spins fields, Fields.energy fields) |]
       in
-      let sweeps_done = float_of_int (done_reads * sweeps) in
-      throughput_gauges telemetry ~name:"sa" ~sweeps_done
-        ~flips_done:(sweeps_done *. float_of_int n) ~dt:(Mclock.now () -. t0)
-    end;
-    Sampleset.of_tracked q (List.filter_map Fun.id (Array.to_list samples))
-  end
+      { Reads.sweeps; proposals = n; read })
 
 type packed_mode = Bucketed | Lockstep
 
@@ -198,30 +114,17 @@ let popcount64 w =
    Metropolis marginals from a per-group bulk stream. *)
 let run_packed ?(params = default) ?(mode = Bucketed) ?init ?stop ?on_read
     ?(telemetry = Telemetry.null) q =
-  if params.reads < 1 then invalid_arg "Sa.run_packed: reads < 1";
-  if params.sweeps < 1 then invalid_arg "Sa.run_packed: sweeps < 1";
-  let n = Qubo.num_vars q in
-  (match init with
-  | Some b when Bitvec.length b <> n ->
-    invalid_arg
-      (Printf.sprintf "Sa.run_packed: init has %d bits, problem has %d vars" (Bitvec.length b) n)
-  | _ -> ());
-  if n = 0 then Sampleset.of_bits q [ Bitvec.create 0 ]
-  else begin
-    let ising = Ising.of_qubo q in
-    let schedule =
-      match params.schedule with
-      | Some s -> s
-      | None -> Schedule.auto ~sweeps:params.sweeps ising
-    in
-    let stopped () = match stop with Some f -> f () | None -> false in
-    let tracked = Telemetry.enabled telemetry in
-    let sweeps = Schedule.sweeps schedule in
-    let stride = sweep_stride sweeps in
-    let groups = (params.reads + Multispin.max_lanes - 1) / Multispin.max_lanes in
-    let run_group g =
-      if stopped () then None
-      else begin
+  check_params "Sa.run_packed" params;
+  let stopped () = match stop with Some f -> f () | None -> false in
+  let groups = (params.reads + Multispin.max_lanes - 1) / Multispin.max_lanes in
+  Reads.run ~who:"Sa.run_packed" ~name:"sa" ~jobs:groups ~domains:params.domains ?init ?stop
+    ?on_read ~telemetry q (fun ising ->
+      let n = Ising.num_spins ising in
+      let schedule = schedule_for params ising in
+      let tracked = Telemetry.enabled telemetry in
+      let sweeps = Schedule.sweeps schedule in
+      let stride = Reads.sweep_stride sweeps in
+      let read g init =
         let r0 = g * Multispin.max_lanes in
         let lanes = min Multispin.max_lanes (params.reads - r0) in
         (* Same per-read streams and warm-start rule as the scalar path:
@@ -230,7 +133,7 @@ let run_packed ?(params = default) ?(mode = Bucketed) ?init ?stop ?on_read
         let starts =
           Array.init lanes (fun l ->
               match init with
-              | Some b when r0 + l = 0 -> Bitvec.copy b
+              | Some b when l = 0 -> Bitvec.copy b
               | _ -> Bitvec.random rngs.(l) n)
         in
         let ms = Multispin.create ising starts in
@@ -269,41 +172,15 @@ let run_packed ?(params = default) ?(mode = Bucketed) ?init ?stop ?on_read
               ];
           incr k
         done;
-        let out =
-          Array.init lanes (fun l ->
-              let spins = Multispin.lane_spins ms l in
-              let energy =
-                if params.postprocess then begin
-                  let fields = Fields.create ising spins in
-                  descend_fields fields;
-                  Fields.energy fields
-                end
-                else Multispin.energy ms l
-              in
-              (match on_read with Some f -> f spins | None -> ());
-              (spins, energy))
-        in
-        if tracked then begin
-          Telemetry.count telemetry "sa.reads" lanes;
-          (* lane-sweeps, so packed and scalar throughput are comparable *)
-          Telemetry.count telemetry "sa.sweeps" (sweeps * lanes);
-          Array.iter (fun (_, e) -> Telemetry.observe telemetry "sa.read_energy" e) out
-        end;
-        Some out
-      end
-    in
-    let t0 = if tracked then Mclock.now () else 0. in
-    let packed = Parallel.init_array ~telemetry ~domains:params.domains groups run_group in
-    if tracked then begin
-      let done_lanes =
-        Array.fold_left (fun a g -> match g with Some o -> a + Array.length o | None -> a) 0 packed
+        Array.init lanes (fun l ->
+            let spins = Multispin.lane_spins ms l in
+            if params.postprocess then begin
+              let fields = Fields.create ising spins in
+              Greedy.descend_fields fields;
+              (spins, Fields.energy fields)
+            end
+            else (spins, Multispin.energy ms l))
       in
-      let sweeps_done = float_of_int (done_lanes * sweeps) in
-      throughput_gauges telemetry ~name:"sa" ~sweeps_done
-        ~flips_done:(sweeps_done *. float_of_int n) ~dt:(Mclock.now () -. t0)
-    end;
-    Sampleset.of_tracked q
-      (List.concat_map
-         (function None -> [] | Some a -> Array.to_list a)
-         (Array.to_list packed))
-  end
+      (* sweeps count lane-sweeps, so packed and scalar throughput are
+         comparable *)
+      { Reads.sweeps; proposals = n; read })

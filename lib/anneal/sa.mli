@@ -23,24 +23,6 @@ type params = {
 
 val default : params
 
-val sweep_stride : int -> int
-(** [sweep_stride sweeps] is the sweep-event decimation every sweep-loop
-    sampler uses: one telemetry event every [max 1 (sweeps / 32)] sweeps
-    (plus the final sweep), so traces stay proportional to reads, not to
-    reads × sweeps. *)
-
-val throughput_gauges :
-  Qsmt_util.Telemetry.t ->
-  name:string ->
-  sweeps_done:float ->
-  flips_done:float ->
-  dt:float ->
-  unit
-(** Sets the [<name>.sweeps_per_s] and [<name>.flips_per_s] gauges every
-    sweep-loop sampler publishes after its reads complete (flips =
-    attempted Metropolis proposals, sweeps × spins). No-op when [dt] or
-    [sweeps_done] is zero. *)
-
 val sample :
   ?params:params ->
   ?init:Qsmt_util.Bitvec.t ->
@@ -49,32 +31,14 @@ val sample :
   ?telemetry:Qsmt_util.Telemetry.t ->
   Qsmt_qubo.Qubo.t ->
   Sampleset.t
-(** Anneals and returns all reads as a sample set (energies are QUBO
-    energies, offset included). A zero-variable problem yields a set with
-    one empty assignment.
-
-    [init] warm-starts read 0 from the given assignment (reverse-anneal
-    style — the incremental solver passes the previous best sample);
-    every other read keeps its random start so the set stays diverse.
-    Passing [init] changes the PRNG draw sequence, so warm and cold runs
-    are not sample-for-sample comparable.
-    @raise Invalid_argument if [init] has the wrong length.
-
-    [stop] is a cooperative cancellation flag, polled before each read
-    starts and between sweeps inside a read: once it returns [true],
-    unstarted reads are skipped and in-flight reads finish their current
-    sweep and return early (their partial configurations are still
-    included). The returned set may then hold fewer than [reads] samples,
-    or none. [on_read] observes each completed read's final bits — the
-    portfolio solver uses it to verify decodes and trip [stop] as soon as
-    one read solves the constraint. Without [stop]/[on_read] the result is
-    a pure function of [params], independent of [domains].
-
-    [telemetry] (default {!Qsmt_util.Telemetry.null}) streams strided
-    [sa.sweep] events (read, sweep, β, tracked energy, acceptance rate)
-    plus an [sa.reads] counter and an [sa.read_energy] histogram.
-    Instrumentation never touches the PRNG, so samples are bit-identical
-    with telemetry on or off. *)
+(** Anneals [reads] reads through {!Reads}, which owns the [init],
+    [stop] and [on_read] contract and the [sa.reads] / [sa.sweeps] /
+    [sa.read_energy] telemetry. [stop] is also polled between sweeps.
+    [telemetry] (default {!Qsmt_util.Telemetry.null}) additionally streams
+    strided [sa.sweep] events (read, sweep, β, tracked energy, acceptance
+    rate). [postprocess] descends with {!Greedy.descend_fields}.
+    @raise Invalid_argument on [reads < 1], [sweeps < 1] or an [init] of
+    the wrong length. *)
 
 type packed_mode =
   | Bucketed
@@ -102,16 +66,16 @@ val run_packed :
 (** Multi-read SA through the bit-parallel {!Qsmt_qubo.Multispin}
     kernel: reads are packed 64 to a word-parallel state ([reads] not a
     multiple of 64 leaves the last group with masked tail lanes), so one
-    CSR pass per site per sweep advances a whole group. Semantics match
-    {!sample}: same per-read starting configurations (derived from the
-    same streams), same schedule, same warm-start rule for [init], same
-    [stop] polling granularity (between sweeps, whole group), same
-    [on_read] observation of each decoded read, and [postprocess] runs
-    the same steepest descent per decoded lane. [mode] defaults to
-    {!Bucketed}. [domains] parallelises across groups, so it only helps
-    past 64 reads. Telemetry: strided [sa.packed_sweep] events (group,
-    lanes, sweep, β, best tracked energy, acceptance across lanes) plus
-    the same [sa.reads] / [sa.read_energy] aggregates as {!sample}. *)
+    CSR pass per site per sweep advances a whole group. Each group is one
+    {!Reads} job, so [init] reaches lane 0 of group 0, [stop] is polled
+    before each group and between its sweeps, and [on_read] sees every
+    decoded lane. Starts come from the same per-read streams as
+    {!sample}, and [postprocess] runs the same descent per decoded lane.
+    [mode] defaults to {!Bucketed}. [domains] parallelises across groups,
+    so it only helps past 64 reads. Telemetry: strided [sa.packed_sweep]
+    events (group, lanes, sweep, β, best tracked energy, acceptance
+    across lanes) plus the same [sa.*] aggregates as {!sample}, counted
+    per lane. *)
 
 val anneal_ising :
   rng:Qsmt_util.Prng.t ->
@@ -124,12 +88,9 @@ val anneal_ising :
 (** One annealing read over an Ising problem: starts from [init] (random
     if omitted), runs the full schedule, returns the final spin
     configuration and its (incrementally tracked) energy. Exposed for
-    composition (the hardware model reuses it on embedded problems).
-    The whole read runs on a {!Qsmt_qubo.Fields} state, so proposals are
-    O(1) and the energy is always available; [on_sweep] observes it after
-    every sweep together with the number of accepted flips that sweep
-    (used by {!Convergence} to record trajectories and by telemetry for
-    acceptance rates). The bare no-callback loop is kept separate so the
-    benchmarked kernel pays nothing when unobserved. [stop]
+    composition ({!Convergence} records trajectories with it). The whole
+    read runs on a {!Qsmt_qubo.Fields} state, so proposals are O(1) and
+    the energy is always available; [on_sweep] observes it after every
+    sweep together with the number of accepted flips that sweep. [stop]
     is polled between sweeps; when it returns [true] the read returns its
     current configuration immediately. *)

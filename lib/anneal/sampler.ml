@@ -1,46 +1,29 @@
-type recipe =
-  | R_sa of Sa.params
-  | R_sa_packed of Sa.params
-  | R_sqa of Sqa.params
-  | R_tabu of Tabu.params
-  | R_pt of Pt.params
-  | R_greedy of Greedy.params
-  | R_exact of int option
-  | R_hardware of Hardware.params
-  | R_hardware_auto of (Qsmt_qubo.Qubo.t -> Hardware.params)
-  | R_portfolio of Portfolio.params
-  | R_custom of (Qsmt_qubo.Qubo.t -> Sampleset.t)
+module Bitvec = Qsmt_util.Bitvec
+module Telemetry = Qsmt_util.Telemetry
+module Qubo = Qsmt_qubo.Qubo
 
-type t = { name : string; recipe : recipe }
+type t = {
+  name : string;
+  sample :
+    ?init:Bitvec.t ->
+    ?stop:(unit -> bool) ->
+    ?on_read:(Bitvec.t -> unit) ->
+    ?verify:(Bitvec.t -> bool) ->
+    telemetry:Telemetry.t ->
+    Qubo.t ->
+    Sampleset.t * Hardware.stats option;
+  reseed : int -> t;
+}
 
 let name t = t.name
+let with_seed t seed = t.reseed seed
 
-let with_seed t seed =
-  let recipe =
-    match t.recipe with
-    | R_sa p -> R_sa { p with Sa.seed }
-    | R_sa_packed p -> R_sa_packed { p with Sa.seed }
-    | R_sqa p -> R_sqa { p with Sqa.seed }
-    | R_tabu p -> R_tabu { p with Tabu.seed }
-    | R_pt p -> R_pt { p with Pt.seed }
-    | R_greedy p -> R_greedy { p with Greedy.seed }
-    | R_hardware p -> R_hardware { p with Hardware.anneal = { p.Hardware.anneal with Sa.seed } }
-    | R_hardware_auto f ->
-      R_hardware_auto
-        (fun q ->
-          let p = f q in
-          { p with Hardware.anneal = { p.Hardware.anneal with Sa.seed } })
-    | R_portfolio p -> R_portfolio (Portfolio.reseed p seed)
-    | (R_exact _ | R_custom _) as r -> r
-  in
-  { t with recipe }
-
-let run_detailed ?verify ?init ?(early_exit = false) ?(telemetry = Qsmt_util.Telemetry.null) t q =
+let run_detailed ?verify ?init ?(early_exit = false) ?(telemetry = Telemetry.null) t q =
   (* Early exit is opt-in (and needs a verifier): the stop/on_read hooks
-     truncate the heuristic samplers' read loops on the first verified
-     read, which changes the sample set — cold solves keep the exhaustive
-     deterministic behavior, incremental warm re-solves turn this on. *)
-  let hooks () =
+     truncate the read loops on the first verified read, which changes
+     the sample set — cold solves keep the exhaustive deterministic
+     behavior, incremental warm re-solves turn this on. *)
+  let stop, on_read =
     match verify with
     | Some ok when early_exit ->
       let found = Atomic.make false in
@@ -49,56 +32,84 @@ let run_detailed ?verify ?init ?(early_exit = false) ?(telemetry = Qsmt_util.Tel
       (Some stop, Some on_read)
     | _ -> (None, None)
   in
-  match t.recipe with
-  | R_sa params ->
-    let stop, on_read = hooks () in
-    (Sa.sample ~params ?init ?stop ?on_read ~telemetry q, None)
-  | R_sa_packed params ->
-    let stop, on_read = hooks () in
-    (Sa.run_packed ~params ?init ?stop ?on_read ~telemetry q, None)
-  | R_sqa params ->
-    let stop, on_read = hooks () in
-    (Sqa.sample ~params ?init ?stop ?on_read ~telemetry q, None)
-  | R_tabu params ->
-    let stop, on_read = hooks () in
-    (Tabu.sample ~params ?init ?stop ?on_read ~telemetry q, None)
-  | R_pt params ->
-    let stop, on_read = hooks () in
-    (Pt.sample ~params ?init ?stop ?on_read ~telemetry q, None)
-  | R_greedy params ->
-    let stop, on_read = hooks () in
-    (Greedy.sample ~params ?init ?stop ?on_read ~telemetry q, None)
-  | R_exact keep -> (Exact.solve ?keep q, None)
-  | R_hardware params ->
-    let r = Hardware.sample ~params ~telemetry q in
-    (r.Hardware.samples, Some r.Hardware.stats)
-  | R_hardware_auto f ->
-    let r = Hardware.sample ~params:(f q) ~telemetry q in
-    (r.Hardware.samples, Some r.Hardware.stats)
-  | R_portfolio params ->
-    let r = Portfolio.run ~params ?init ?verify ~telemetry q in
-    ( r.Portfolio.merged,
-      List.find_map (fun rep -> rep.Portfolio.hardware) r.Portfolio.reports )
-  | R_custom f -> (f q, None)
+  t.sample ?init ?stop ?on_read ?verify ~telemetry q
 
 let run ?verify ?init ?early_exit ?telemetry t q =
   fst (run_detailed ?verify ?init ?early_exit ?telemetry t q)
 
-let make ~name f = { name; recipe = R_custom f }
-let simulated_annealing ?(params = Sa.default) () = { name = "sa"; recipe = R_sa params }
+type reads =
+  ?init:Bitvec.t ->
+  ?stop:(unit -> bool) ->
+  ?on_read:(Bitvec.t -> unit) ->
+  ?telemetry:Telemetry.t ->
+  Qubo.t ->
+  Sampleset.t
 
-let simulated_annealing_packed ?(params = Sa.default) () =
-  { name = "sa_packed"; recipe = R_sa_packed params }
+(* A sampler over {!Reads}: it takes every hook and reports no hardware
+   stats. *)
+let of_reads name (sample : reads) reseed =
+  {
+    name;
+    sample =
+      (fun ?init ?stop ?on_read ?verify:_ ~telemetry q ->
+        (sample ?init ?stop ?on_read ~telemetry q, None));
+    reseed;
+  }
 
-let simulated_quantum_annealing ?(params = Sqa.default) () = { name = "sqa"; recipe = R_sqa params }
+let rec simulated_annealing ?(params = Sa.default) () =
+  of_reads "sa" (Sa.sample ~params) (fun seed ->
+      simulated_annealing ~params:{ params with Sa.seed } ())
 
-let tabu ?(params = Tabu.default) () = { name = "tabu"; recipe = R_tabu params }
-let parallel_tempering ?(params = Pt.default) () = { name = "pt"; recipe = R_pt params }
-let greedy ?(params = Greedy.default) () = { name = "greedy"; recipe = R_greedy params }
-let exact ?keep () = { name = "exact"; recipe = R_exact keep }
-let hardware ~params = { name = "hardware"; recipe = R_hardware params }
-let hardware_auto f = { name = "hardware"; recipe = R_hardware_auto f }
-let portfolio ?(params = Portfolio.default) () = { name = "portfolio"; recipe = R_portfolio params }
+let rec simulated_annealing_packed ?(params = Sa.default) () =
+  of_reads "sa_packed" (Sa.run_packed ~params ~mode:Sa.Bucketed) (fun seed ->
+      simulated_annealing_packed ~params:{ params with Sa.seed } ())
+
+let rec simulated_quantum_annealing ?(params = Sqa.default) () =
+  of_reads "sqa" (Sqa.sample ~params) (fun seed ->
+      simulated_quantum_annealing ~params:{ params with Sqa.seed } ())
+
+let rec tabu ?(params = Tabu.default) () =
+  of_reads "tabu" (Tabu.sample ~params) (fun seed -> tabu ~params:{ params with Tabu.seed } ())
+
+let rec parallel_tempering ?(params = Pt.default) () =
+  of_reads "pt" (Pt.sample ~params) (fun seed ->
+      parallel_tempering ~params:{ params with Pt.seed } ())
+
+let rec greedy ?(params = Greedy.default) () =
+  of_reads "greedy" (Greedy.sample ~params) (fun seed ->
+      greedy ~params:{ params with Greedy.seed } ())
+
+(* Seedless samplers reseed to themselves. *)
+let seedless name sample =
+  let rec t = { name; sample; reseed = (fun _ -> t) } in
+  t
+
+let make ~name f =
+  seedless name (fun ?init:_ ?stop:_ ?on_read:_ ?verify:_ ~telemetry:_ q -> (f q, None))
+
+let exact ?keep () =
+  seedless "exact" (fun ?init:_ ?stop ?on_read:_ ?verify:_ ~telemetry:_ q ->
+      (Exact.solve ?keep ?stop q, None))
+
+(* The hardware path samples over physical qubits behind a minor
+   embedding; a logical warm start has no direct physical image, so
+   [init] is ignored rather than guessed. Its [on_read] already sees
+   logical bits, so early exit applies unchanged. *)
+let rec hardware_auto f =
+  {
+    name = "hardware";
+    sample =
+      (fun ?init:_ ?stop ?on_read ?verify:_ ~telemetry q ->
+        let r = Hardware.sample ~params:(f q) ?stop ?on_read ~telemetry q in
+        (r.Hardware.samples, Some r.Hardware.stats));
+    reseed =
+      (fun seed ->
+        hardware_auto (fun q ->
+            let p = f q in
+            { p with Hardware.anneal = { p.Hardware.anneal with Sa.seed } }));
+  }
+
+let hardware ~params = hardware_auto (fun _ -> params)
 
 let default_suite ~seed =
   [

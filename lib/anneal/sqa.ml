@@ -1,8 +1,6 @@
 module Bitvec = Qsmt_util.Bitvec
 module Prng = Qsmt_util.Prng
-module Parallel = Qsmt_util.Parallel
 module Telemetry = Qsmt_util.Telemetry
-module Qubo = Qsmt_qubo.Qubo
 module Ising = Qsmt_qubo.Ising
 module Multispin = Qsmt_qubo.Multispin
 
@@ -151,35 +149,25 @@ let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null
   if params.trotter > Multispin.max_lanes then
     invalid_arg (Printf.sprintf "Sqa.sample: trotter > %d" Multispin.max_lanes);
   if params.gamma_cold <= 0. then invalid_arg "Sqa.sample: gamma_cold <= 0";
-  let n = Qubo.num_vars q in
-  (match init with
-  | Some b when Bitvec.length b <> n ->
-    invalid_arg
-      (Printf.sprintf "Sqa.sample: init has %d bits, problem has %d vars" (Bitvec.length b) n)
-  | _ -> ());
-  if n = 0 then Sampleset.of_bits q [ Bitvec.create 0 ]
-  else begin
-    let ising = Ising.of_qubo q in
-    let beta =
-      match params.beta with
-      | Some b ->
-        if b <= 0. then invalid_arg "Sqa.sample: beta <= 0";
-        b
-      | None -> snd (Schedule.default_beta_range ising)
-    in
-    let gamma_hot =
-      match params.gamma_hot with
-      | Some g ->
-        if g < params.gamma_cold then invalid_arg "Sqa.sample: gamma_hot < gamma_cold";
-        g
-      | None -> Float.max 1. (3. *. Ising.max_abs_field ising)
-    in
-    let stopped () = match stop with Some f -> f () | None -> false in
-    let tracked = Telemetry.enabled telemetry in
-    let stride = Sa.sweep_stride params.sweeps in
-    let run r =
-      if stopped () then None
-      else begin
+  Reads.run ~who:"Sqa.sample" ~name:"sqa" ~jobs:params.reads ~domains:params.domains ?init ?stop
+    ?on_read ~telemetry q (fun ising ->
+      let beta =
+        match params.beta with
+        | Some b ->
+          if b <= 0. then invalid_arg "Sqa.sample: beta <= 0";
+          b
+        | None -> snd (Schedule.default_beta_range ising)
+      in
+      let gamma_hot =
+        match params.gamma_hot with
+        | Some g ->
+          if g < params.gamma_cold then invalid_arg "Sqa.sample: gamma_hot < gamma_cold";
+          g
+        | None -> Float.max 1. (3. *. Ising.max_abs_field ising)
+      in
+      let tracked = Telemetry.enabled telemetry in
+      let stride = Reads.sweep_stride params.sweeps in
+      let read r init =
         let rng = Prng.stream ~seed:params.seed r in
         let on_sweep =
           if not tracked then None
@@ -196,30 +184,7 @@ let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null
                       ("replica_spread", Telemetry.Float spread);
                     ])
         in
-        let init = if r = 0 then init else None in
-        let ((bits, e) as sample) =
-          run_read ~ising ~params ~beta ~gamma_hot ?init ?stop ?on_sweep rng
-        in
-        if tracked then begin
-          Telemetry.count telemetry "sqa.reads" 1;
-          Telemetry.count telemetry "sqa.sweeps" params.sweeps;
-          Telemetry.observe telemetry "sqa.read_energy" e
-        end;
-        (match on_read with Some f -> f bits | None -> ());
-        Some sample
-      end
-    in
-    let t0 = if tracked then Qsmt_util.Mclock.now () else 0. in
-    let samples = Parallel.init_array ~telemetry ~domains:params.domains params.reads run in
-    if tracked then begin
-      let done_reads =
-        Array.fold_left (fun a s -> match s with Some _ -> a + 1 | None -> a) 0 samples
+        [| run_read ~ising ~params ~beta ~gamma_hot ?init ?stop ?on_sweep rng |]
       in
-      let sweeps_done = float_of_int (done_reads * params.sweeps) in
       (* one SQA sweep proposes a flip per spin per Trotter slice *)
-      Sa.throughput_gauges telemetry ~name:"sqa" ~sweeps_done
-        ~flips_done:(sweeps_done *. float_of_int (n * params.trotter))
-        ~dt:(Qsmt_util.Mclock.now () -. t0)
-    end;
-    Sampleset.of_tracked q (List.filter_map Fun.id (Array.to_list samples))
-  end
+      { Reads.sweeps = params.sweeps; proposals = Ising.num_spins ising * params.trotter; read })

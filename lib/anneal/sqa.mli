@@ -52,14 +52,14 @@ val sample :
   Qsmt_qubo.Qubo.t ->
   Sampleset.t
 (** One entry per read: the lowest-classical-energy slice of that read's
-    final configuration. [init] warm-starts read 0: every Trotter slice
-    begins at the given assignment (a fully coherent world line, the
-    reverse-anneal starting condition); see {!Sa.sample} for the
-    contract. [stop] and [on_read] follow the cooperative
-    cancellation contract documented at {!Sa.sample}. [telemetry] streams
+    final configuration. Reads run through {!Reads}, which owns the
+    [init], [stop] and [on_read] contract and the [sqa.reads] /
+    [sqa.read_energy] aggregates; [init] starts every Trotter slice of
+    read 0 at the given assignment (a fully coherent world line, the
+    reverse-anneal starting condition). [telemetry] also streams
     strided [sqa.sweep] events (read, sweep, Γ, best slice energy,
-    replica spread = worst − best world line) plus [sqa.reads] /
-    [sqa.read_energy]; the spread is the replica-coherence signal that
+    replica spread = worst − best world line); the spread is the
+    replica-coherence signal that
     distinguishes the quantum-fluctuation phase from the frozen tail.
 
     @raise Invalid_argument on [reads < 1], [sweeps < 1], [trotter < 2],

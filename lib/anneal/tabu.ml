@@ -1,8 +1,6 @@
 module Bitvec = Qsmt_util.Bitvec
 module Prng = Qsmt_util.Prng
-module Parallel = Qsmt_util.Parallel
 module Telemetry = Qsmt_util.Telemetry
-module Qubo = Qsmt_qubo.Qubo
 module Ising = Qsmt_qubo.Ising
 module Fields = Qsmt_qubo.Fields
 
@@ -70,28 +68,19 @@ let search ising ~rng ~iterations ~tenure ?init ?stop ?on_iter () =
 let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null) q =
   if params.restarts < 1 then invalid_arg "Tabu.sample: restarts < 1";
   if params.iterations < 1 then invalid_arg "Tabu.sample: iterations < 1";
-  let n = Qubo.num_vars q in
-  (match init with
-  | Some b when Bitvec.length b <> n ->
-    invalid_arg
-      (Printf.sprintf "Tabu.sample: init has %d bits, problem has %d vars" (Bitvec.length b) n)
-  | _ -> ());
-  if n = 0 then Sampleset.of_bits q [ Bitvec.create 0 ]
-  else begin
-    let tenure =
-      match params.tenure with
-      | Some t ->
-        if t < 0 then invalid_arg "Tabu.sample: negative tenure";
-        t
-      | None -> min ((n / 4) + 1) 20
-    in
-    let ising = Ising.of_qubo q in
-    let stopped () = match stop with Some f -> f () | None -> false in
-    let tracked = Telemetry.enabled telemetry in
-    let stride = Sa.sweep_stride params.iterations in
-    let run r =
-      if stopped () then None
-      else begin
+  Reads.run ~who:"Tabu.sample" ~name:"tabu" ~jobs:params.restarts ~domains:params.domains ?init
+    ?stop ?on_read ~telemetry q (fun ising ->
+      let n = Ising.num_spins ising in
+      let tenure =
+        match params.tenure with
+        | Some t ->
+          if t < 0 then invalid_arg "Tabu.sample: negative tenure";
+          t
+        | None -> min ((n / 4) + 1) 20
+      in
+      let tracked = Telemetry.enabled telemetry in
+      let stride = Reads.sweep_stride params.iterations in
+      let read r init =
         let rng = Prng.stream ~seed:params.seed r in
         let on_iter =
           if not tracked then None
@@ -109,31 +98,8 @@ let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null
                       ("best", Telemetry.Float best);
                     ])
         in
-        let init = if r = 0 then init else None in
-        let ((bits, e) as sample) =
-          search ising ~rng ~iterations:params.iterations ~tenure ?init ?stop ?on_iter ()
-        in
-        if tracked then begin
-          Telemetry.count telemetry "tabu.reads" 1;
-          Telemetry.count telemetry "tabu.sweeps" params.iterations;
-          Telemetry.observe telemetry "tabu.read_energy" e
-        end;
-        (match on_read with Some f -> f bits | None -> ());
-        Some sample
-      end
-    in
-    let t0 = if tracked then Qsmt_util.Mclock.now () else 0. in
-    let samples = Parallel.init_array ~telemetry ~domains:params.domains params.restarts run in
-    if tracked then begin
-      let done_reads =
-        Array.fold_left (fun a s -> match s with Some _ -> a + 1 | None -> a) 0 samples
+        [| search ising ~rng ~iterations:params.iterations ~tenure ?init ?stop ?on_iter () |]
       in
       (* a tabu iteration scans all n candidate moves and flips one, so
          an iteration is the analogue of one sweep of proposals *)
-      let sweeps_done = float_of_int (done_reads * params.iterations) in
-      Sa.throughput_gauges telemetry ~name:"tabu" ~sweeps_done
-        ~flips_done:(sweeps_done *. float_of_int n)
-        ~dt:(Qsmt_util.Mclock.now () -. t0)
-    end;
-    Sampleset.of_tracked q (List.filter_map Fun.id (Array.to_list samples))
-  end
+      { Reads.sweeps = params.iterations; proposals = n; read })

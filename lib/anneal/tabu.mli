@@ -26,11 +26,10 @@ val sample :
   ?telemetry:Qsmt_util.Telemetry.t ->
   Qsmt_qubo.Qubo.t ->
   Sampleset.t
-(** Returns the best assignment found by each restart. [init] warm-starts
-    restart 0 from the given assignment (see {!Sa.sample}). [stop] and
-    [on_read] follow the cooperative cancellation contract documented at
-    {!Sa.sample} ([stop] is polled every 64 iterations inside a
-    restart). [telemetry] streams strided [tabu.iter] events (restart,
-    iteration, current and best energy) plus [tabu.aspirations] /
-    [tabu.kicks] counters (tenure overridden by aspiration; random kick
-    when every move is tabu) and [tabu.reads] / [tabu.read_energy]. *)
+(** Returns the best assignment found by each restart. Restarts run
+    through {!Reads}, which owns the [init], [stop] and [on_read]
+    contract and the [tabu.reads] / [tabu.read_energy] aggregates; [stop]
+    is also polled every 64 iterations inside a restart. [telemetry]
+    streams strided [tabu.iter] events (restart, iteration, current and
+    best energy) plus [tabu.aspirations] / [tabu.kicks] counters (tenure
+    overridden by aspiration; random kick when every move is tabu). *)

@@ -392,7 +392,7 @@ let search s ~assumptions ~conflict_budget =
   if s.dead then `Unsat else loop ()
 
 let solve ?(conflict_budget = max_int) (cnf : Cnf.t) =
-  let start = Unix.gettimeofday () in
+  let start = Qsmt_util.Mclock.now () in
   let s = make_solver cnf.Cnf.num_vars in
   List.iter (add_root_clause s) cnf.Cnf.clauses;
   let result =
@@ -408,7 +408,7 @@ let solve ?(conflict_budget = max_int) (cnf : Cnf.t) =
       propagations = s.s_propagations;
       learned = s.s_learned;
       restarts = s.s_restarts;
-      time_s = Unix.gettimeofday () -. start;
+      time_s = Qsmt_util.Mclock.now () -. start;
     } )
 
 module Incremental = struct
@@ -426,7 +426,7 @@ module Incremental = struct
     List.iter (add_root_clause t.s) clauses
 
   let solve ?(assumptions = []) t =
-    let start = Unix.gettimeofday () in
+    let start = Qsmt_util.Mclock.now () in
     let s = t.s in
     cancel_until s 0;
     List.iter
@@ -455,6 +455,6 @@ module Incremental = struct
         propagations = s.s_propagations - p0;
         learned = s.s_learned - l0;
         restarts = s.s_restarts - r0;
-        time_s = Unix.gettimeofday () -. start;
+        time_s = Qsmt_util.Mclock.now () -. start;
       } )
 end

@@ -8,8 +8,8 @@
     readings are clamped to be non-decreasing across the whole process,
     so intervals are never negative and a backwards clock step costs at
     most the stalled interval, not a corrupted one. Benches, stage
-    timings and trace timestamps all read {!now} rather than calling
-    [Unix.gettimeofday] directly. *)
+    timings, portfolio budgets, CDCL times and trace timestamps all read
+    {!now} rather than calling [Unix.gettimeofday] directly. *)
 
 val now : unit -> float
 (** Seconds since the first load of this module, non-decreasing across

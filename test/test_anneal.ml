@@ -420,7 +420,7 @@ let test_portfolio_budget_cuts_slow_member () =
   let q = target_qubo "10110100101101001011010010" in
   let r =
     Portfolio.run
-      ~params:{ Portfolio.members = [ Portfolio.M_exact None ]; jobs = 1; budget = Some 0.05 }
+      ~params:{ Portfolio.members = [ Sampler.exact () ]; jobs = 1; budget = Some 0.05 }
       q
   in
   match r.Portfolio.reports with
@@ -442,7 +442,7 @@ let test_portfolio_validation () =
            q))
 
 let test_portfolio_member_failure_is_typed () =
-  (* 31 variables: M_exact raises its size cap the moment it starts. The
+  (* 31 variables: exact raises its size cap the moment it starts. The
      crash must surface as a typed per-member failure (plus the
      portfolio.member_failed counter) while the surviving member's race
      completes normally. *)
@@ -453,7 +453,8 @@ let test_portfolio_member_failure_is_typed () =
       ~params:
         {
           Portfolio.members =
-            [ Portfolio.M_exact None; Portfolio.M_greedy { Greedy.seed = 1; restarts = 4; domains = 1 } ];
+            [ Sampler.exact ();
+              Sampler.greedy ~params:{ Greedy.seed = 1; restarts = 4; domains = 1 } () ];
           jobs = 2;
           budget = None;
         }
@@ -481,7 +482,7 @@ let test_portfolio_raising_verify_is_member_failure () =
   let q = target_qubo "110100" in
   let r =
     Portfolio.run
-      ~params:{ Portfolio.members = [ Portfolio.M_exact None ]; jobs = 1; budget = None }
+      ~params:{ Portfolio.members = [ Sampler.exact () ]; jobs = 1; budget = None }
       ~verify:(fun _ -> failwith "verifier bug") q
   in
   match r.Portfolio.reports with
@@ -492,7 +493,7 @@ let test_portfolio_raising_verify_is_member_failure () =
 
 let test_portfolio_sampler_integration () =
   let q = target_qubo "1101" in
-  let s = Sampler.portfolio () in
+  let s = Portfolio.sampler () in
   check Alcotest.string "name" "portfolio" (Sampler.name s);
   check (Alcotest.float 0.) "finds ground state" (-3.)
     (Sampleset.lowest_energy (Sampler.run s q));
@@ -919,7 +920,9 @@ let test_portfolio_hardware_member () =
   in
   let params =
     { Portfolio.default with
-      Portfolio.members = [ Portfolio.M_sa { sa_params with Sa.domains = 1 }; Portfolio.M_hardware hw_params ] }
+      Portfolio.members =
+        [ Sampler.simulated_annealing ~params:{ sa_params with Sa.domains = 1 } ();
+          Sampler.hardware ~params:hw_params ] }
   in
   let r = Portfolio.run ~params q in
   let hw = List.find (fun rep -> rep.Portfolio.member_name = "hardware") r.Portfolio.reports in
@@ -1227,17 +1230,89 @@ let test_init_length_validation () =
   let q = target_qubo "1101" in
   let bad = Bitvec.create 3 in
   List.iter
-    (fun (name, f) ->
-      match f () with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.failf "%s accepted a wrong-length init" name)
+    (fun (who, f) ->
+      Alcotest.check_raises who
+        (Invalid_argument (who ^ ": init has 3 bits, problem has 4 vars"))
+        (fun () -> ignore (f ())))
     [
-      ("sa", fun () -> ignore (Sa.sample ~init:bad q));
-      ("sqa", fun () -> ignore (Sqa.sample ~init:bad q));
-      ("pt", fun () -> ignore (Pt.sample ~init:bad q));
-      ("tabu", fun () -> ignore (Tabu.sample ~init:bad q));
-      ("greedy", fun () -> ignore (Greedy.sample ~init:bad q));
+      ("Sa.sample", fun () -> Sa.sample ~init:bad q);
+      ("Sa.run_packed", fun () -> Sa.run_packed ~init:bad q);
+      ("Sqa.sample", fun () -> Sqa.sample ~init:bad q);
+      ("Pt.sample", fun () -> Pt.sample ~init:bad q);
+      ("Tabu.sample", fun () -> Tabu.sample ~init:bad q);
+      ("Greedy.sample", fun () -> Greedy.sample ~init:bad q);
     ]
+
+(* The read contract of [Reads], checked once per sampler that reads
+   through it (and for the hardware path, which reads through SA). Each
+   row builds the sampler at a given [domains]; [budget] is its read
+   count. sa_packed asks for 70 reads: one full 64-lane group plus a
+   masked tail group. *)
+let test_read_driver_contract () =
+  let q = target_qubo "101101" in
+  let ground = Bitvec.of_string "101101" in
+  let verify bits = Bitvec.equal bits ground in
+  let rows =
+    [
+      ( "sa", 16,
+        fun domains ->
+          Sampler.simulated_annealing ~params:{ sa_params with Sa.domains } () );
+      ( "sa_packed", 70,
+        fun domains ->
+          Sampler.simulated_annealing_packed
+            ~params:{ sa_params with Sa.reads = 70; domains } () );
+      ( "sqa", 8,
+        fun domains ->
+          Sampler.simulated_quantum_annealing
+            ~params:{ Sqa.default with Sqa.reads = 8; sweeps = 100; seed = 7; domains } () );
+      ( "pt", 8,
+        fun domains ->
+          Sampler.parallel_tempering
+            ~params:{ Pt.default with Pt.reads = 8; sweeps = 100; seed = 7; domains } () );
+      ( "tabu", 8,
+        fun domains ->
+          Sampler.tabu
+            ~params:{ Tabu.default with Tabu.restarts = 8; iterations = 100; seed = 7; domains } () );
+      ( "greedy", 16,
+        fun domains -> Sampler.greedy ~params:{ Greedy.restarts = 16; seed = 7; domains } () );
+      ( "hardware", 16,
+        fun domains ->
+          Sampler.hardware
+            ~params:
+              { (Hardware.default_params (Topology.complete 6)) with
+                Hardware.anneal = { sa_params with Sa.domains } } );
+    ]
+  in
+  let entries s =
+    List.map
+      (fun e -> (Bitvec.to_string e.Sampleset.bits, e.Sampleset.energy, e.Sampleset.occurrences))
+      (Sampleset.entries s)
+  in
+  List.iter
+    (fun (name, budget, make) ->
+      let s1 = make 1 in
+      check Alcotest.string "name" name (Sampler.name s1);
+      let full = Sampler.run s1 q in
+      check Alcotest.int (name ^ ": full budget") budget (Sampleset.total_reads full);
+      check Alcotest.bool (name ^ ": domains 1 = domains 2") true
+        (entries full = entries (Sampler.run (make 2) q));
+      let early = Sampler.run ~verify ~init:ground ~early_exit:true s1 q in
+      check Alcotest.bool
+        (Printf.sprintf "%s: early exit (%d of %d reads)" name (Sampleset.total_reads early) budget)
+        true
+        (Sampleset.total_reads early < budget);
+      check Alcotest.bool (name ^ ": early set holds the ground") true
+        (List.exists (fun e -> verify e.Sampleset.bits) (Sampleset.entries early));
+      let stopped, _ =
+        s1.Sampler.sample ~stop:(fun () -> true) ~telemetry:Qsmt_util.Telemetry.null q
+      in
+      check Alcotest.bool (name ^ ": stop before the first read") true (Sampleset.is_empty stopped);
+      let seen = ref 0 in
+      let observed, _ =
+        s1.Sampler.sample ~on_read:(fun _ -> incr seen) ~telemetry:Qsmt_util.Telemetry.null q
+      in
+      check Alcotest.int (name ^ ": on_read once per read") (Sampleset.total_reads observed) !seen)
+    rows
 
 let test_greedy_init_respected () =
   (* A single restart seeded at the global minimum must return exactly
@@ -1352,6 +1427,7 @@ let () =
           Alcotest.test_case "custom" `Quick test_sampler_custom;
           Alcotest.test_case "init length validation" `Quick test_init_length_validation;
           Alcotest.test_case "early exit" `Quick test_sampler_early_exit;
+          Alcotest.test_case "read driver contract" `Quick test_read_driver_contract;
         ] );
       ( "portfolio",
         [

@@ -657,11 +657,11 @@ let test_joint_verifier_reaches_sampler () =
      stops at its first verified read and names a winner. *)
   let telemetry = Qsmt_util.Telemetry.collector () in
   let portfolio =
-    Sampler.portfolio
+    Qsmt_anneal.Portfolio.sampler
       ~params:
         {
           Qsmt_anneal.Portfolio.default with
-          Qsmt_anneal.Portfolio.members = [ Qsmt_anneal.Portfolio.M_sa Sa.default ];
+          Qsmt_anneal.Portfolio.members = [ Sampler.simulated_annealing () ];
           jobs = 1;
         }
       ()
