@@ -87,15 +87,11 @@ let naive_kernel ~rng ~schedule ising spins =
     done
   done
 
-(* The same loop through the incremental state: O(1) per proposal. *)
+(* The same sweeps through the incremental state, O(1) per proposal:
+   the loop scalar SA ships, drawing the same values as the one above. *)
 let fields_kernel ~rng ~schedule fields =
-  let n = Fields.num_spins fields in
   for k = 0 to Schedule.sweeps schedule - 1 do
-    let beta = Schedule.beta schedule k in
-    for i = 0 to n - 1 do
-      let delta = Fields.delta fields i in
-      if delta <= 0. || Prng.float rng < Float.exp (-.beta *. delta) then Fields.flip fields i
-    done
+    ignore (Fields.metropolis_sweep fields ~rng ~beta:(Schedule.beta schedule k))
   done
 
 let best_of f =
@@ -313,15 +309,16 @@ let sampler_times q ising =
 (* ------------------------------------------------------------------ *)
 (* Section C: bit-parallel multi-replica kernel (multi-spin coding).
 
-   The scalar side is 64 independent Fields states driven by the plain
-   Metropolis loop; the packed side is one Multispin state whose fused
-   sweep advances all 64 lanes per CSR pass. Both are measured at a
-   fixed equilibrium beta (the cold end of the instance's default
-   schedule) — like Section A, this isolates the kernel: at equilibrium
-   the accept rate is low and the packed side's amortized proposal loop,
-   bulk PRNG and shared exp calls dominate; in the hot phase both sides
-   are bound by the identical per-accepted-flip field updates, which the
-   full-schedule sampler comparison below captures. *)
+   The scalar side is 64 independent Fields states, each swept by
+   [Fields.metropolis_sweep] (scalar SA's loop); the packed side is one
+   Multispin state whose fused sweep advances all 64 lanes per CSR
+   pass. Both are measured at a fixed equilibrium beta (the cold end of
+   the instance's default schedule) — like Section A, this isolates the
+   kernel: at equilibrium the accept rate is low and the packed side's
+   amortized proposal loop, bulk PRNG and shared exp calls dominate; in
+   the hot phase both sides are bound by the identical
+   per-accepted-flip field updates, which the full-schedule sampler
+   comparison below captures. *)
 
 let replica_lanes = Multispin.max_lanes
 let packed_sweeps = if fast then 40 else 150
@@ -355,14 +352,7 @@ let multispin_kernel_throughput ising =
   let scalar_t =
     timed
       (fun rng -> Array.map (fun s -> Fields.create ising (Bitvec.copy s)) (starts rng))
-      (fun rng fields ->
-        Array.iter
-          (fun f ->
-            for i = 0 to n - 1 do
-              let d = Fields.delta f i in
-              if d <= 0. || Prng.float rng < Float.exp (-.beta *. d) then Fields.flip f i
-            done)
-          fields)
+      (fun rng fields -> Array.iter (fun f -> ignore (Fields.metropolis_sweep f ~rng ~beta)) fields)
   in
   let packed_t =
     timed

@@ -622,7 +622,10 @@ let gen_action op args sampler show_matrix param_assigns lint_level no_absint tr
               match
                 Solver.solve_timed ?params ~sampler ~lint:lint_level ~absint ~telemetry constr
               with
-              | exception Lint.Rejected (_, findings) -> Error findings
+              | exception Lint.Rejected (_, findings) -> Error (`Lint findings)
+              (* a sampler refusing its input (the exact solver's size cap,
+                 [reads < 1]): reported as [run] reports it *)
+              | exception (Invalid_argument m | Failure m) -> Error (`Msg m)
               | outcome, timing -> begin
                 match outcome.Solver.decided with
                 | Some a ->
@@ -657,12 +660,15 @@ let gen_action op args sampler show_matrix param_assigns lint_level no_absint tr
               end)
         in
         match result with
-        | Error findings ->
+        | Error (`Lint findings) ->
           Format.eprintf "qsmt: lint gate rejected the encoding (%d error(s), %d warning(s)):@."
             (Analyze.count_severity findings Analyze.Error)
             (Analyze.count_severity findings Analyze.Warning);
           List.iter (fun f -> Format.eprintf "  %a@." Analyze.pp_finding f) findings;
           1
+        | Error (`Msg m) ->
+          prerr_endline ("qsmt: " ^ m);
+          2
         | Ok (outcome, _) -> if outcome.Solver.satisfied then 0 else 1
   end
 

@@ -34,12 +34,12 @@ let search ising ~rng ~iterations ~tenure ?init ?stop ?on_iter () =
        or any tabu flip that would beat the incumbent (aspiration). *)
     let chosen = ref (-1) and chosen_delta = ref infinity in
     let chosen_tabu = ref false in
+    (* constant during the scan; read once, since each read boxes *)
+    let energy = Fields.energy fields in
     for i = 0 to n - 1 do
       let delta = Fields.delta fields i in
       let is_tabu = tabu_until.(i) > it in
-      let admissible =
-        (not is_tabu) || Fields.energy fields +. delta < !best_energy -. 1e-12
-      in
+      let admissible = (not is_tabu) || energy +. delta < !best_energy -. 1e-12 in
       if admissible && delta < !chosen_delta then begin
         chosen := i;
         chosen_delta := delta;

@@ -48,7 +48,9 @@ val spins : t -> Ising.spins
 (** The live assignment — aliased, not a copy. *)
 
 val energy : t -> float
-(** Tracked [H(s)], O(1). *)
+(** Tracked [H(s)], O(1). The value is stored unboxed, but the returned
+    float is boxed on each call (a float crosses the module boundary
+    boxed), so hot loops read it once, outside their per-spin scan. *)
 
 val field : t -> int -> float
 (** Tracked local field [f_i], O(1). *)
@@ -60,7 +62,18 @@ val delta : t -> int -> float
 
 val flip : t -> int -> unit
 (** Flips spin [i]: applies {!delta} to the energy, toggles the bit, and
-    updates the neighbors' fields. O(degree i). *)
+    updates the neighbors' fields. O(degree i). Allocates nothing. *)
+
+val metropolis_sweep : t -> rng:Qsmt_util.Prng.t -> beta:float -> int
+(** [metropolis_sweep t ~rng ~beta] runs one Metropolis pass over spins
+    [0 .. n-1] in order at inverse temperature [beta] and returns the
+    number of accepted flips. Spin [i] flips when [delta t i <= 0.], or
+    else when a uniform from [rng] is [< exp (-. beta *. delta t i)];
+    the uniform is drawn only for uphill moves. Accepted flips go
+    through {!flip}, so [refresh_every] applies. The draws and decisions
+    are exactly those of the loop [delta], [Prng.float], [flip]; unlike
+    that loop, this one allocates nothing. The scalar twin of
+    {!Multispin.metropolis_sweep}, and scalar SA's inner loop. *)
 
 val refresh : t -> unit
 (** Recomputes every field and the energy from the current spins in

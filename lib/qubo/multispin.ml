@@ -286,15 +286,13 @@ let ln2 = Float.log 2.
    lane phase-1 loop. *)
 let ln2_steps = Array.init 64 (fun g -> float_of_int g *. ln2)
 
-(* Bulk-draw state: a nested xoshiro128++ held in four native ints.
-   [Prng.t] is xoshiro256** over boxed int64s, and one [Prng.bits64]
-   call costs ~18ns in allocation and boxing alone — the bucketed
-   accept path needs one 64-bit word per geometric round per SITE, so
-   drawing from the boxed generator would dominate the whole sweep. The
-   nested generator is seeded from the caller's [Prng.t] (two bits64
-   draws), keeping runs deterministic in the usual stream discipline,
-   and every subsequent draw is allocation-free 32-bit native
-   arithmetic. *)
+(* Bulk-draw state: a nested xoshiro128++ held in four native ints,
+   seeded from the caller's [Prng.t] (two bits64 draws), so runs stay
+   deterministic in the usual stream discipline. Every draw is
+   allocation-free 32-bit native arithmetic, inlined into the sweep
+   below. [Prng] no longer boxes either; this generator stays because
+   its stream defines the packed samples — replacing it would change
+   every bucketed [Sa.run_packed] result. *)
 type draws = { mutable d0 : int; mutable d1 : int; mutable d2 : int; mutable d3 : int }
 
 let draws rng =

@@ -102,9 +102,10 @@ val flip : t -> int -> int64 -> unit
 
 type draws
 (** Bulk-draw state for the bucketed accept paths: a nested,
-    allocation-free 32-bit generator (xoshiro128++ over native ints).
-    [Qsmt_util.Prng.t] boxes every 64-bit draw, which would dominate the
-    packed sweep; this state draws round words for ~1ns each. *)
+    allocation-free 32-bit generator (xoshiro128++ over native ints)
+    that draws round words for ~1ns each. Its stream defines the packed
+    samples, so it stays even though {!Qsmt_util.Prng} allocates nothing
+    per draw either. *)
 
 val draws : Qsmt_util.Prng.t -> draws
 (** Seeds a bulk-draw state from the caller's generator (consumes two

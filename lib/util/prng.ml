@@ -1,4 +1,9 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256** state s0..s3, as four native-endian int64s in one
+   32-byte buffer. A record of mutable int64 fields would box a fresh
+   Int64 on every store; reading the words into local lets and writing
+   them back with [Bytes.set_int64_ne] keeps them unboxed, so advancing
+   the state allocates nothing. *)
+type t = Bytes.t
 
 (* SplitMix64: used only to expand a seed into the four xoshiro words, and
    to implement [split]. *)
@@ -18,7 +23,12 @@ let of_splitmix state =
   (* xoshiro requires a nonzero state; splitmix output is zero for at most
      one of the four draws, so forcing one word nonzero is enough. *)
   let s3 = if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then 1L else s3 in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  Bytes.set_int64_ne t 0 s0;
+  Bytes.set_int64_ne t 8 s1;
+  Bytes.set_int64_ne t 16 s2;
+  Bytes.set_int64_ne t 24 s3;
+  t
 
 let create seed = of_splitmix (ref (Int64.of_int seed))
 
@@ -35,22 +45,30 @@ let stream ~seed k =
   in
   of_splitmix (ref mixed)
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+(* One xoshiro256** step. Inlined into every draw below, so the int64
+   result stays unboxed until a caller outside this module receives it. *)
+let[@inline] bits64 t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_ne t 0 and s1 = Bytes.get_int64_ne t 8 in
+  let s2 = Bytes.get_int64_ne t 16 and s3 = Bytes.get_int64_ne t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  Bytes.set_int64_ne t 0 s0;
+  Bytes.set_int64_ne t 8 s1;
+  Bytes.set_int64_ne t 16 (logxor s2 tmp);
+  Bytes.set_int64_ne t 24 (rotl s3 45);
   result
+
+let bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
 
 let split t =
   let seed = bits64 t in
@@ -68,17 +86,14 @@ let int t n =
   let bound = Int64.of_int n in
   let domain = Int64.shift_left 1L 62 in
   let limit = Int64.sub domain (Int64.rem domain bound) in
-  let rec loop () =
-    let r = Int64.shift_right_logical (bits64 t) 2 in
-    if r >= limit then loop () else Int64.to_int (Int64.rem r bound)
-  in
-  loop ()
+  let r = ref (Int64.shift_right_logical (bits64 t) 2) in
+  while !r >= limit do
+    r := Int64.shift_right_logical (bits64 t) 2
+  done;
+  Int64.to_int (Int64.rem !r bound)
 
-let float t =
-  (* 53 high bits scaled to [0,1). *)
-  let r = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float r *. 0x1.0p-53
-
+(* 53 high bits scaled to [0,1). *)
+let float t = float_of_int (bits53 t) *. 0x1.0p-53
 let bool t = Int64.logand (bits64 t) 1L = 1L
 let uniform t lo hi = lo +. ((hi -. lo) *. float t)
 

@@ -11,7 +11,14 @@
 
 type t
 (** Mutable generator state. Not thread-safe; use {!split} to hand
-    independent streams to concurrent domains. *)
+    independent streams to concurrent domains.
+
+    The four state words live unboxed in one 32-byte buffer, so advancing
+    the generator allocates nothing. What a draw allocates is only its
+    return value: an [int64] or [float] result is boxed when it crosses
+    a module boundary (the dev profile compiles with [-opaque], so
+    nothing is inlined across modules), an [int] or [bool] never is.
+    Hot loops therefore draw with {!bits53}. *)
 
 val create : int -> t
 (** [create seed] builds a generator from a 63-bit seed. Equal seeds yield
@@ -40,12 +47,20 @@ val stream : seed:int -> int -> t
 val bits64 : t -> int64
 (** [bits64 t] is the next raw 64-bit output. *)
 
+val bits53 : t -> int
+(** [bits53 t] is the 53 high bits of the next {!bits64} output, as a
+    non-negative immediate [int] (never boxed). [float_of_int (bits53 t)
+    *. 0x1.0p-53] is exactly the value {!float} would have returned, and
+    consumes the same draw — the allocation-free way to draw a uniform
+    in a hot loop. *)
+
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. Requires [n > 0]. Unbiased
     (rejection sampling). *)
 
 val float : t -> float
-(** [float t] is uniform in [\[0, 1)] with 53 bits of precision. *)
+(** [float t] is uniform in [\[0, 1)] with 53 bits of precision:
+    [float_of_int (bits53 t) *. 0x1.0p-53]. *)
 
 val bool : t -> bool
 (** [bool t] is a fair coin flip. *)

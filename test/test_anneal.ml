@@ -24,6 +24,8 @@ module Metrics = Qsmt_anneal.Metrics
 module Spinglass = Qsmt_anneal.Spinglass
 module Portfolio = Qsmt_anneal.Portfolio
 module Convergence = Qsmt_anneal.Convergence
+module Constr = Qsmt_strtheory.Constr
+module Compile = Qsmt_strtheory.Compile
 
 let check = Alcotest.check
 
@@ -1342,6 +1344,41 @@ let test_sampler_early_exit () =
   let full = Sampler.run ~verify sampler q in
   check Alcotest.int "no early exit by default" 32 (Sampleset.total_reads full)
 
+(* The allocation gate: minor words per flip proposal of one sampler
+   call (one domain, telemetry off), a deterministic count. Scalar SA's
+   sweep allocates nothing, so what remains is per-read and per-sweep
+   setup; the packed row counts lane-proposals. *)
+let test_sampler_words_per_proposal () =
+  let sweeps = 500 in
+  let problems =
+    [
+      ("palindrome 8", Compile.to_qubo (Constr.Palindrome { length = 8 }));
+      ( "chimera C(4)",
+        Spinglass.random_on_graph ~rng:(Prng.create 3)
+          (Topology.graph (Topology.chimera ~m:4 ())) );
+    ]
+  in
+  let rows =
+    [
+      ("Sa.sample", 8, 0.25, fun params q -> Sa.sample ~params q);
+      ("Sa.run_packed", 64, 0.5, fun params q -> Sa.run_packed ~params q);
+    ]
+  in
+  List.iter
+    (fun (problem, q) ->
+      List.iter
+        (fun (who, reads, limit, run) ->
+          let params = { Sa.default with Sa.reads; sweeps; domains = 1 } in
+          let w0 = Gc.minor_words () in
+          ignore (Sys.opaque_identity (run params q));
+          let words = Gc.minor_words () -. w0 in
+          let per_proposal = words /. float_of_int (reads * sweeps * Qubo.num_vars q) in
+          if not (per_proposal < limit) then
+            Alcotest.failf "%s on %s: %.3f minor words per proposal, limit %g" who problem
+              per_proposal limit)
+        rows)
+    problems
+
 let () =
   Alcotest.run "qsmt_anneal"
     [
@@ -1428,6 +1465,7 @@ let () =
           Alcotest.test_case "init length validation" `Quick test_init_length_validation;
           Alcotest.test_case "early exit" `Quick test_sampler_early_exit;
           Alcotest.test_case "read driver contract" `Quick test_read_driver_contract;
+          Alcotest.test_case "words per proposal" `Quick test_sampler_words_per_proposal;
         ] );
       ( "portfolio",
         [

@@ -163,6 +163,66 @@ let kernel_units =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Fields.metropolis_sweep against the reference loop *)
+
+(* Gaussian fields and couplers: non-dyadic, so the incremental updates
+   round and [delta] lands near the [delta <= 0.] boundary. Fields, like
+   couplers, are present with probability [density], so sparse draws
+   leave isolated spins with [delta = 0.] exactly: accepted without a
+   draw. *)
+let gen_gaussian_ising =
+  let open QCheck2.Gen in
+  let* n = int_range 1 24 in
+  let* density = float_range 0.1 1. in
+  let* seed = int_range 0 9999 in
+  return
+    (let rng = Prng.create seed in
+     let gauss () =
+       let u1 = Float.max 1e-12 (Prng.float rng) and u2 = Prng.float rng in
+       Float.sqrt (-2. *. Float.log u1) *. Float.cos (2. *. Float.pi *. u2)
+     in
+     let entries = ref [] in
+     for i = 0 to n - 1 do
+       for j = i to n - 1 do
+         if Prng.float rng < density then entries := (i, j, gauss ()) :: !entries
+       done
+     done;
+     freeze_entries n !entries)
+
+let sweep_props =
+  [
+    qtest ~count:300 "metropolis_sweep = delta/float/flip loop, same stream"
+      QCheck2.Gen.(
+        quad gen_gaussian_ising (oneofl [ 0.1; 1.; 10. ]) (oneofl [ 0; 3 ]) (int_range 0 9999))
+      (fun (ising, beta, refresh_every, seed) ->
+        let n = Ising.num_spins ising in
+        let rng = Prng.create seed in
+        let start = Bitvec.random rng n in
+        let rng' = Prng.copy rng in
+        let a = Fields.create ~refresh_every ising (Bitvec.copy start) in
+        let b = Fields.create ~refresh_every ising (Bitvec.copy start) in
+        let ok = ref true in
+        for _ = 1 to 4 do
+          let accepted = Fields.metropolis_sweep a ~rng ~beta in
+          let accepted' = ref 0 in
+          for i = 0 to n - 1 do
+            let d = Fields.delta b i in
+            if d <= 0. || Prng.float rng' < Float.exp (-.beta *. d) then begin
+              Fields.flip b i;
+              incr accepted'
+            end
+          done;
+          if
+            accepted <> !accepted'
+            || (not (Bitvec.equal (Fields.spins a) (Fields.spins b)))
+            || Int64.bits_of_float (Fields.energy a) <> Int64.bits_of_float (Fields.energy b)
+            || Prng.bits64 rng <> Prng.bits64 rng'
+          then ok := false
+        done;
+        !ok);
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Sampleset.of_tracked *)
 
 let tracked_units =
@@ -365,6 +425,7 @@ let () =
   Alcotest.run "qsmt_fields"
     [
       ("kernel-vs-naive", kernel_props @ kernel_units);
+      ("metropolis-sweep", sweep_props);
       ("of-tracked", tracked_props @ tracked_units);
       ("tracked-energies", sampler_energy_tests);
       ("table1-regressions", regression_tests);

@@ -164,6 +164,35 @@ let test_prng_stream_decorrelated () =
   Alcotest.check_raises "negative index" (Invalid_argument "Prng.stream: negative stream index")
     (fun () -> ignore (Prng.stream ~seed:0 (-1)))
 
+(* Known answers: the generator's output stream is part of every
+   fixed-seed result in this repository, so its values are pinned
+   literally, whatever the state representation. *)
+let test_prng_known_answers () =
+  let first4 name t expected =
+    List.iteri
+      (fun k want -> check Alcotest.int64 (Printf.sprintf "%s draw %d" name k) want (Prng.bits64 t))
+      expected
+  in
+  first4 "create 0" (Prng.create 0)
+    [ 0x99EC5F36CB75F2B4L; 0xBF6E1F784956452AL; 0x1A5F849D4933E6E0L; 0x6AA594F1262D2D2CL ];
+  first4 "create 42" (Prng.create 42)
+    [ 0x15780B2E0C2EC716L; 0x6104D9866D113A7EL; 0xAE17533239E499A1L; 0xECB8AD4703B360A1L ];
+  first4 "stream ~seed:7 3" (Prng.stream ~seed:7 3)
+    [ 0x1BC52AEEFC73FC07L; 0x56707CBE0CD97041L; 0x561098F7A08C42E6L; 0x34E7C9408C4624FEL ];
+  first4 "split (create 1)"
+    (Prng.split (Prng.create 1))
+    [ 0x2C83F301EB3F9C90L; 0x4E876D9FAE53F0B8L; 0x516BA84E3A541549L; 0x18A46D9D1DF806FCL ];
+  check (Alcotest.float 0.) "float" 0x1.275545e329532p-2 (Prng.float (Prng.create 5));
+  check Alcotest.int "int 1000" 546 (Prng.int (Prng.create 5) 1000);
+  check Alcotest.bool "bool" true (Prng.bool (Prng.create 5));
+  let t = Prng.create 77 in
+  let t' = Prng.copy t in
+  for k = 1 to 10_000 do
+    let f = Prng.float t and f' = float_of_int (Prng.bits53 t') *. 0x1.0p-53 in
+    if Int64.bits_of_float f <> Int64.bits_of_float f' then
+      Alcotest.failf "draw %d: float %h, bits53-derived %h" k f f'
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Bitvec *)
 
@@ -484,6 +513,7 @@ let () =
           Alcotest.test_case "large bound rejection" `Quick test_prng_int_large_bound;
           Alcotest.test_case "stream deterministic" `Quick test_prng_stream_deterministic;
           Alcotest.test_case "stream decorrelated" `Quick test_prng_stream_decorrelated;
+          Alcotest.test_case "known answers" `Quick test_prng_known_answers;
         ] );
       ( "bitvec",
         [
