@@ -93,7 +93,7 @@ let run_scenario (name, prefix, ext) =
            let s = fresh () in
            ignore (solve s full);
            let dt, o = time (fun () -> solve s prefix) in
-           pop_sat := o.Qsmt_strtheory.Joint.satisfied;
+           pop_sat := o.Qsmt_strtheory.Solver.satisfied;
            dt))
   in
   let r =

@@ -65,8 +65,8 @@ module Telemetry = Qsmt_util.Telemetry
 
 let fast = Sys.getenv_opt "QSMT_BENCH_FAST" <> None
 
-(* QSMT_BENCH_TRACE=path streams the instrumented sections (Figure 1,
-   Ext-7) through the same JSONL sink the CLI's --trace uses, so bench
+(* QSMT_BENCH_TRACE=path streams the instrumented section (Ext-7)
+   through the same JSONL sink the CLI's --trace uses, so bench
    traces and CLI traces are byte-compatible and `qsmt trace` validates
    both. Unset: the null handle, which costs one pointer compare. *)
 let trace_path = Sys.getenv_opt "QSMT_BENCH_TRACE"
@@ -245,15 +245,24 @@ let figure1 () =
     "decode" "alloc" "majgc" "output";
   List.iter
     (fun constr ->
-      let (outcome, timing), _, minor_words, major_gcs =
-        time_gc_it (fun () -> Solver.solve_timed ~sampler:(sa_sampler ~seed:1) ~telemetry constr)
+      (* Each solve gets its own aggregate handle, whose span totals are
+         the stage times; the alloc column includes its bookkeeping. *)
+      let stages = Telemetry.aggregate_only () in
+      let outcome, _, minor_words, major_gcs =
+        time_gc_it (fun () ->
+            Solver.solve ~sampler:(sa_sampler ~seed:1) ~telemetry:stages constr)
+      in
+      let span_s name =
+        match List.find_opt (fun (n, _, _) -> n = name) (Telemetry.span_totals stages) with
+        | Some (_, _, total) -> total
+        | None -> 0.
       in
       Format.printf "%-55s %6d %8.1fus %8.1fms %8.1fus %7.1fMw %6d  %a@."
         (Constr.describe constr)
         (Qubo.num_vars outcome.Solver.qubo)
-        (1e6 *. timing.Solver.encode_s)
-        (1e3 *. timing.Solver.sample_s)
-        (1e6 *. timing.Solver.decode_s)
+        (1e6 *. span_s "encode")
+        (1e3 *. span_s "sample")
+        (1e6 *. span_s "decode")
         (minor_words /. 1e6) major_gcs pp_val outcome.Solver.value)
     cases
 
@@ -329,7 +338,9 @@ let ext2_samplers () =
     (fun constr ->
       List.iter
         (fun (name, sampler) ->
-          let outcome, dt = time_it (fun () -> Solver.solve ~sampler constr) in
+          (* absint off: the ablation compares samplers on one QUBO, and a
+             static answer has no reads to compare *)
+          let outcome, dt = time_it (fun () -> Solver.solve ~sampler ~absint:`Off constr) in
           Format.printf "%-50s %-8s %10.2f %8.0f%% %8.1fms@." (Constr.describe constr) name
             (Sampleset.lowest_energy outcome.Solver.samples)
             (100. *. success_fraction constr outcome.Solver.samples)
@@ -512,8 +523,9 @@ let ext5 () =
     (fun (label, conjuncts) ->
       match time_it (fun () -> Joint.solve ~sampler:(sa_sampler ~seed:4) conjuncts) with
       | Ok o, dt ->
-        Format.printf "%-38s %-12S %9s %8.1fms@." label (show_string o.Joint.value)
-          (if o.Joint.satisfied then "yes" else "NO")
+        Format.printf "%-38s %-12s %9s %8.1fms@." label
+          (Format.asprintf "%a" pp_val o.Solver.value)
+          (if o.Solver.satisfied then "yes" else "NO")
           (1e3 *. dt)
       | Error e, _ -> Format.printf "%-38s error: %s@." label e)
     cases
@@ -683,10 +695,8 @@ let ext9 () =
   in
   let batched, batch_t = time_it (fun () -> Solver.solve_batch ~sampler constrs) in
   List.iter2
-    (fun (label, _) (outcome, timing) ->
-      Format.printf "  %-20s %s  sample %.1fms@." label
-        (if outcome.Solver.satisfied then "ok " else "MISS")
-        (1e3 *. timing.Solver.sample_s))
+    (fun (label, _) outcome ->
+      Format.printf "  %-20s %s@." label (if outcome.Solver.satisfied then "ok" else "MISS"))
     workload batched;
   Format.printf "one-by-one %.1fms  batched %.1fms  speedup %.1fx@." (1e3 *. one_by_one_t)
     (1e3 *. batch_t)

@@ -363,11 +363,12 @@ let with_progress enabled t f =
    --progress through [f]: JSONL writer when tracing (flushed with
    counter/gauge/histogram summaries on the way out), aggregate-only
    when any of the other switches need live aggregates, {!Telemetry.null}
-   otherwise. [tts_of] derives the summary's TTS row from f's result. *)
+   otherwise. [tts_of] derives the summary's TTS row from the handle and
+   f's result. *)
 let with_telemetry ~trace ~metrics ?(metrics_out = None) ?(progress = false) ?tts_of f =
   let summarize t r =
     if metrics then
-      print_metrics ?tts:(match tts_of with None -> None | Some g -> g r) t;
+      print_metrics ?tts:(match tts_of with None -> None | Some g -> g t r) t;
     (match metrics_out with
     | Some path ->
       Out_channel.with_open_text path (fun oc ->
@@ -559,13 +560,18 @@ let op_args = Arg.(value & pos_right 0 string [] & info [] ~docv:"ARGS" ~doc:"Op
 (* TTS row of the --metrics summary, consistent with
    [Metrics.time_to_solution]: p_success is the fraction of reads at or
    below the verified sample's energy (0 when nothing verified, printing
-   "n/a"), time_per_read the raw sampling wall time split across
+   "n/a"), time_per_read the [sample] span's wall time split across
    reads. *)
-let gen_tts (outcome, timing) =
+let gen_tts telemetry outcome =
   let reads = Sampleset.total_reads outcome.Solver.samples in
-  if reads = 0 || timing.Solver.sample_s <= 0. then None
+  let sample_s =
+    match List.find_opt (fun (name, _, _) -> name = "sample") (Telemetry.span_totals telemetry) with
+    | Some (_, _, total) -> total
+    | None -> 0.
+  in
+  if reads = 0 || sample_s <= 0. then None
   else begin
-    let time_per_read = timing.Solver.sample_s /. float_of_int reads in
+    let time_per_read = sample_s /. float_of_int reads in
     let p_success =
       if outcome.Solver.satisfied then
         Metrics.success_probability outcome.Solver.samples
@@ -617,21 +623,21 @@ let gen_action op args sampler show_matrix param_assigns lint_level no_absint tr
         let absint = if no_absint then `Off else `On in
         let result =
           with_telemetry ~trace ~metrics ~metrics_out
-            ~tts_of:(function Ok r -> gen_tts r | Error _ -> None)
+            ~tts_of:(fun telemetry -> function Ok o -> gen_tts telemetry o | Error _ -> None)
             (fun telemetry ->
               match
-                Solver.solve_timed ?params ~sampler ~lint:lint_level ~absint ~telemetry constr
+                Solver.solve ?params ~sampler ~lint:lint_level ~absint ~telemetry constr
               with
               | exception Lint.Rejected (_, findings) -> Error (`Lint findings)
               (* a sampler refusing its input (the exact solver's size cap,
                  [reads < 1]): reported as [run] reports it *)
               | exception (Invalid_argument m | Failure m) -> Error (`Msg m)
-              | outcome, timing -> begin
+              | outcome -> begin
                 match outcome.Solver.decided with
                 | Some a ->
                   (* Statically decided: no QUBO was built, no sampler ran —
-                     the qubo/hardware/timing lines would all be
-                     placeholders, so print the analysis instead. *)
+                     the qubo/hardware lines would be placeholders, so
+                     print the analysis instead. *)
                   Format.printf "absint    : %a@." absint_summary a;
                   (match a.Absint.verdict with
                   | Absint.V_sat _ ->
@@ -639,7 +645,7 @@ let gen_action op args sampler show_matrix param_assigns lint_level no_absint tr
                       Constr.pp_value outcome.Solver.value
                   | Absint.V_unsat _ | Absint.V_undecided ->
                     Format.printf "result    : unsat (proved statically)@.");
-                  Ok (outcome, timing)
+                  Ok outcome
                 | None ->
                   if show_matrix then
                     Format.printf "matrix    :@.%a@."
@@ -652,11 +658,7 @@ let gen_action op args sampler show_matrix param_assigns lint_level no_absint tr
                   (match outcome.Solver.hardware with
                   | Some stats -> Format.printf "hardware  : %a@." Hardware.pp_stats stats
                   | None -> ());
-                  Format.printf
-                    "timing    : encode %.1fus anneal %.1fms decode %.1fus verify %.1fus@."
-                    (1e6 *. timing.Solver.encode_s) (1e3 *. timing.Solver.sample_s)
-                    (1e6 *. timing.Solver.decode_s) (1e6 *. timing.Solver.verify_s);
-                  Ok (outcome, timing)
+                  Ok outcome
               end)
         in
         match result with
@@ -669,7 +671,7 @@ let gen_action op args sampler show_matrix param_assigns lint_level no_absint tr
         | Error (`Msg m) ->
           prerr_endline ("qsmt: " ^ m);
           2
-        | Ok (outcome, _) -> if outcome.Solver.satisfied then 0 else 1
+        | Ok outcome -> if outcome.Solver.satisfied then 0 else 1
   end
 
 let gen_cmd =
@@ -734,40 +736,129 @@ let table1_constraints () =
     Constr.Includes { haystack = "hello world"; needle = "world" };
   ]
 
-(* Solve units of an SMT-LIB script: the conjunct lists the assertion
-   compiler would hand to the annealer, one list per solve.
+(* Solve units of an SMT-LIB script: the conjunct list the assertion
+   compiler would hand to the annealer at each check-sat (assumptions
+   included), under the push/pop scope the interpreter gives it. A
+   script without check-sat reads as if it ended in one.
    Trivial/classically-solved problems compile no QUBO, so there is
    nothing to lint or analyze. *)
 let units_of_script source =
   let ( let* ) = Result.bind in
   let* cmds = Smt_parser.parse_script source in
-  let* env, asserts =
+  (* a scope is (env, assertions newest first), as in the interpreter *)
+  let* scope, _, queries =
     List.fold_left
       (fun acc cmd ->
-        let* env, asserts = acc in
+        let* ((env, asserts) as scope), stack, queries = acc in
         match cmd with
         | Smt_ast.Declare_const (name, sort) ->
           let* env = Smt_typecheck.declare env name sort in
-          Ok (env, asserts)
-        | Smt_ast.Assert t -> Ok (env, t :: asserts)
+          Ok ((env, asserts), stack, queries)
+        | Smt_ast.Assert t -> Ok ((env, t :: asserts), stack, queries)
+        | Smt_ast.Push n -> Ok (scope, List.init n (fun _ -> scope) @ stack, queries)
+        | Smt_ast.Pop n -> begin
+          match List.filteri (fun i _ -> i >= n) (scope :: stack) with
+          | scope :: stack -> Ok (scope, stack, queries)
+          | [] -> Error "pop without matching push"
+        end
+        | Smt_ast.Check_sat -> Ok (scope, stack, scope :: queries)
+        | Smt_ast.Check_sat_assuming ts ->
+          Ok (scope, stack, (env, List.rev_append (List.rev ts) asserts) :: queries)
         | _ -> acc)
-      (Ok (Smt_typecheck.empty_env, []))
+      (Ok ((Smt_typecheck.empty_env, []), [], []))
       cmds
   in
-  let* problem = Smt_compile.compile env (List.rev asserts) in
-  match problem with
-  | Smt_compile.Trivial _ | Smt_compile.Solved _ -> Ok []
-  | Smt_compile.Generate { var; constr } | Smt_compile.Locate { var; constr } ->
-    Ok [ (var, [ constr ]) ]
-  | Smt_compile.Generate_joint { var; conjuncts } -> Ok [ (var, conjuncts) ]
+  let queries = match queries with [] -> [ scope ] | qs -> List.rev qs in
+  List.fold_left
+    (fun acc (env, asserts) ->
+      let* units = acc in
+      let* problem = Smt_compile.compile env (List.rev asserts) in
+      match problem with
+      | Smt_compile.Trivial _ | Smt_compile.Solved _ -> Ok units
+      | Smt_compile.Generate { var; constr } | Smt_compile.Locate { var; constr } ->
+        Ok (units @ [ (var, [ constr ]) ])
+      | Smt_compile.Generate_joint { var; conjuncts } -> Ok (units @ [ (var, conjuncts) ]))
+    (Ok []) queries
 
-(* The linter inspects each compiled QUBO on its own, so it flattens the
-   units; the abstract interpreter keeps them whole — "length 2 /\
-   contains ab /\ contains ba" is only refutable jointly. *)
-let constraints_of_script source =
-  Result.map
-    (fun units -> List.concat_map (fun (var, cs) -> List.map (fun c -> (var, c)) cs) units)
-    (units_of_script source)
+(* The targets of lint and analyze, from exactly one of an operation,
+   --table1, --smt2 FILE or --workload N: conjunctions, each with the
+   variable it constrains when it comes from a script. *)
+let resolve_targets ~verb op args table1 smt2 workload ~seed =
+  match (op, table1, smt2, workload) with
+  | Some op, false, None, 0 -> begin
+    match constraint_of_op op args with
+    | Error (`Msg m) -> Error m
+    | Ok c -> begin
+      match Constr.validate c with
+      | Error m -> Error ("invalid constraint: " ^ m)
+      | Ok () -> Ok [ (None, [ c ]) ]
+    end
+  end
+  | None, true, None, 0 -> Ok (List.map (fun c -> (None, [ c ])) (table1_constraints ()))
+  | None, false, Some path, 0 -> begin
+    let source =
+      if path = "-" then In_channel.input_all In_channel.stdin
+      else In_channel.with_open_text path In_channel.input_all
+    in
+    match units_of_script source with
+    | Error m -> Error (path ^ ": " ^ m)
+    | Ok units -> Ok (List.map (fun (var, cs) -> (Some var, cs)) units)
+  end
+  | None, false, None, n when n > 0 ->
+    Ok (List.map (fun c -> (None, [ c ])) (Workload.suite ~seed ~max_length:6 ~count:n ()))
+  | None, false, None, 0 ->
+    Error
+      (Printf.sprintf "nothing to %s: give an operation, --table1, --smt2 FILE, or --workload N"
+         verb)
+  | _ -> Error "choose exactly one of: an operation, --table1, --smt2 FILE, --workload N"
+
+let target_label (var, cs) =
+  let text = String.concat " /\\ " (List.map Constr.describe cs) in
+  match var with Some var -> Printf.sprintf "%s: %s" var text | None -> text
+
+(* The exit status of lint and analyze: 1 when any finding reaches the
+   --fail-on severity, else 0. *)
+let fail_on_status fail_on findings =
+  let threshold =
+    match fail_on with
+    | `Never -> max_int
+    | `Warning -> Analyze.severity_rank Analyze.Warning
+    | `Error -> Analyze.severity_rank Analyze.Error
+  in
+  if List.exists (fun f -> Analyze.severity_rank f.Analyze.severity >= threshold) findings then 1
+  else 0
+
+(* The six arguments lint and analyze share: the four target arguments,
+   which resolve to [resolve_targets] awaiting the workload seed, then
+   --fail-on and --json. [verb] and the [doc] texts keep each command's
+   help its own. *)
+let targets_term ~verb ~smt2_doc =
+  let cap = String.capitalize_ascii verb in
+  let op =
+    Arg.(value & pos 0 (some string) None & info [] ~docv:"OP" ~doc:"Operation name (as in $(b,qsmt gen)).")
+  in
+  let table1 =
+    Arg.(value & flag & info [ "table1" ] ~doc:(cap ^ " the paper's six Table 1 constraints."))
+  in
+  let smt2 = Arg.(value & opt (some string) None & info [ "smt2" ] ~docv:"FILE" ~doc:smt2_doc) in
+  let workload =
+    Arg.(
+      value & opt int 0
+      & info [ "workload" ] ~docv:"N"
+          ~doc:(cap ^ " $(docv) seeded random constraints from the workload generator."))
+  in
+  Term.(const (resolve_targets ~verb) $ op $ op_args $ table1 $ smt2 $ workload)
+
+let fail_on_arg ~doc =
+  Arg.(
+    value
+    & opt (enum [ ("error", `Error); ("warning", `Warning); ("never", `Never) ]) `Error
+    & info [ "fail-on" ] ~docv:"SEVERITY"
+        ~doc:
+          ("Exit 1 when any finding reaches $(docv) ($(b,error), $(b,warning), or $(b,never); \
+            default $(b,error))." ^ doc))
+
+let json_arg ~doc = Arg.(value & flag & info [ "json" ] ~doc)
 
 (* Deterministic single-site damage for the mutation-detection tests:
    does the linter notice? `zero-penalty` deletes the first diagonal
@@ -793,40 +884,20 @@ let apply_mutation kind q =
         else Qubo.set b i j v);
     Qubo.freeze ~num_vars:(Qubo.num_vars q) b
 
-let lint_action op args table1 smt2 workload fail_on json chain topology topology_size
-    chain_strength seed max_enum no_soundness mutate param_assigns trace metrics =
+let lint_action targets fail_on json chain topology topology_size chain_strength seed max_enum
+    no_soundness mutate param_assigns trace metrics =
   let params = params_of_assignments param_assigns in
+  (* The linter inspects each compiled QUBO on its own, so it flattens
+     the units, each distinct constraint once; the abstract interpreter
+     keeps them whole — "length 2 /\ contains ab /\ contains ba" is
+     only refutable jointly. *)
   let targets =
-    match (op, table1, smt2, workload) with
-    | Some op, false, None, 0 -> begin
-      match constraint_of_op op args with
-      | Error (`Msg m) -> Error m
-      | Ok c -> begin
-        match Constr.validate c with
-        | Error m -> Error ("invalid constraint: " ^ m)
-        | Ok () -> Ok [ (Constr.describe c, c) ]
-      end
-    end
-    | None, true, None, 0 ->
-      Ok (List.map (fun c -> (Constr.describe c, c)) (table1_constraints ()))
-    | None, false, Some path, 0 -> begin
-      let source =
-        if path = "-" then In_channel.input_all In_channel.stdin
-        else In_channel.with_open_text path In_channel.input_all
-      in
-      match constraints_of_script source with
-      | Error m -> Error (path ^ ": " ^ m)
-      | Ok cs ->
-        Ok (List.map (fun (var, c) -> (Printf.sprintf "%s: %s" var (Constr.describe c), c)) cs)
-    end
-    | None, false, None, n when n > 0 ->
-      Ok
-        (List.map
-           (fun c -> (Constr.describe c, c))
-           (Workload.suite ~seed ~max_length:6 ~count:n ()))
-    | None, false, None, 0 ->
-      Error "nothing to lint: give an operation, --table1, --smt2 FILE, or --workload N"
-    | _ -> Error "choose exactly one of: an operation, --table1, --smt2 FILE, --workload N"
+    Result.map
+      (fun units ->
+        List.concat_map (fun (var, cs) -> List.map (fun c -> (var, c)) cs) units
+        |> List.fold_left (fun seen t -> if List.mem t seen then seen else t :: seen) []
+        |> List.rev_map (fun (var, c) -> (target_label (var, [ c ]), c)))
+      (targets ~seed)
   in
   match targets with
   | Error m ->
@@ -843,7 +914,7 @@ let lint_action op args table1 smt2 workload fail_on json chain topology topolog
            else None);
       }
     in
-    let worst = ref None in
+    let reported = ref [] in
     with_telemetry ~trace ~metrics (fun telemetry ->
         List.iter
           (fun (name, constr) ->
@@ -852,13 +923,7 @@ let lint_action op args table1 smt2 workload fail_on json chain topology topolog
             in
             let q = apply_mutation mutate q in
             let findings = Lint.lint_compiled ~config ~overwrites ~telemetry constr q in
-            (match Analyze.max_severity findings with
-            | Some s when
-                (match !worst with
-                | None -> true
-                | Some w -> Analyze.severity_rank s > Analyze.severity_rank w) ->
-              worst := Some s
-            | _ -> ());
+            reported := findings @ !reported;
             let errors = Analyze.count_severity findings Analyze.Error in
             let warnings = Analyze.count_severity findings Analyze.Warning in
             let infos = Analyze.count_severity findings Analyze.Info in
@@ -880,49 +945,16 @@ let lint_action op args table1 smt2 workload fail_on json chain topology topolog
               else Format.printf "  %d error(s), %d warning(s), %d info(s)@." errors warnings infos
             end)
           targets);
-    let worst_rank =
-      match !worst with None -> -1 | Some s -> Analyze.severity_rank s
-    in
-    let threshold =
-      match fail_on with
-      | `Never -> max_int
-      | `Warning -> Analyze.severity_rank Analyze.Warning
-      | `Error -> Analyze.severity_rank Analyze.Error
-    in
-    if worst_rank >= threshold then 1 else 0
+    fail_on_status fail_on !reported
 
 let lint_cmd =
-  let op =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"OP" ~doc:"Operation name (as in $(b,qsmt gen)).")
+  let targets =
+    targets_term ~verb:"lint"
+      ~smt2_doc:"Lint every annealer constraint an SMT-LIB script compiles to ($(b,-) for stdin)."
   in
-  let table1 =
-    Arg.(value & flag & info [ "table1" ] ~doc:"Lint the paper's six Table 1 constraints.")
-  in
-  let smt2 =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "smt2" ] ~docv:"FILE"
-          ~doc:"Lint every annealer constraint an SMT-LIB script compiles to ($(b,-) for stdin).")
-  in
-  let workload =
-    Arg.(
-      value & opt int 0
-      & info [ "workload" ] ~docv:"N"
-          ~doc:"Lint $(docv) seeded random constraints from the workload generator.")
-  in
-  let fail_on =
-    Arg.(
-      value
-      & opt (enum [ ("error", `Error); ("warning", `Warning); ("never", `Never) ]) `Error
-      & info [ "fail-on" ] ~docv:"SEVERITY"
-          ~doc:"Exit 1 when any finding reaches $(docv) ($(b,error), $(b,warning), or $(b,never); default $(b,error)).")
-  in
+  let fail_on = fail_on_arg ~doc:"" in
   let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:"Machine-readable output: one JSON object per linted constraint, findings inline.")
+    json_arg ~doc:"Machine-readable output: one JSON object per linted constraint, findings inline."
   in
   let chain =
     Arg.(
@@ -958,7 +990,7 @@ let lint_cmd =
   in
   let term =
     Term.(
-      const lint_action $ op $ op_args $ table1 $ smt2 $ workload $ fail_on $ json $ chain
+      const lint_action $ targets $ fail_on $ json $ chain
       $ topology_arg $ topology_size_arg $ chain_strength_arg $ seed_arg $ max_enum
       $ no_soundness $ mutate $ param_arg $ trace_arg $ metrics_arg)
   in
@@ -1018,54 +1050,18 @@ let analysis_to_json name (a : Absint.analysis) findings =
          ("findings", Json.List (List.map finding_to_json findings));
        ])
 
-let analyze_action op args table1 smt2 workload fail_on json max_iters seed trace metrics
-    metrics_out =
-  let describe_unit cs = String.concat " /\\ " (List.map Constr.describe cs) in
-  let targets =
-    match (op, table1, smt2, workload) with
-    | Some op, false, None, 0 -> begin
-      match constraint_of_op op args with
-      | Error (`Msg m) -> Error m
-      | Ok c -> begin
-        match Constr.validate c with
-        | Error m -> Error ("invalid constraint: " ^ m)
-        | Ok () -> Ok [ (Constr.describe c, [ c ]) ]
-      end
-    end
-    | None, true, None, 0 ->
-      Ok (List.map (fun c -> (Constr.describe c, [ c ])) (table1_constraints ()))
-    | None, false, Some path, 0 -> begin
-      let source =
-        if path = "-" then In_channel.input_all In_channel.stdin
-        else In_channel.with_open_text path In_channel.input_all
-      in
-      match units_of_script source with
-      | Error m -> Error (path ^ ": " ^ m)
-      | Ok units ->
-        Ok
-          (List.map
-             (fun (var, cs) -> (Printf.sprintf "%s: %s" var (describe_unit cs), cs))
-             units)
-    end
-    | None, false, None, n when n > 0 ->
-      Ok
-        (List.map
-           (fun c -> (Constr.describe c, [ c ]))
-           (Workload.suite ~seed ~max_length:6 ~count:n ()))
-    | None, false, None, 0 ->
-      Error "nothing to analyze: give an operation, --table1, --smt2 FILE, or --workload N"
-    | _ -> Error "choose exactly one of: an operation, --table1, --smt2 FILE, --workload N"
-  in
-  match targets with
+let analyze_action targets fail_on json max_iters seed trace metrics metrics_out =
+  match targets ~seed with
   | Error m ->
     prerr_endline ("qsmt: " ^ m);
     2
   | Ok targets ->
-    let worst = ref None in
+    let reported = ref [] in
     let failed = ref false in
     with_telemetry ~trace ~metrics ~metrics_out (fun telemetry ->
         List.iter
-          (fun (name, cs) ->
+          (fun ((_, cs) as target) ->
+            let name = target_label target in
             match Absint.analyze ~max_iters cs with
             | Error m ->
               failed := true;
@@ -1073,13 +1069,7 @@ let analyze_action op args table1 smt2 workload fail_on json max_iters seed trac
             | Ok a ->
               Absint.emit telemetry a;
               let findings = Absint.findings a in
-              (match Analyze.max_severity findings with
-              | Some s when
-                  (match !worst with
-                  | None -> true
-                  | Some w -> Analyze.severity_rank s > Analyze.severity_rank w) ->
-                worst := Some s
-              | _ -> ());
+              reported := findings @ !reported;
               if json then print_endline (analysis_to_json name a findings)
               else begin
                 Format.printf "==> %s@." name;
@@ -1087,58 +1077,20 @@ let analyze_action op args table1 smt2 workload fail_on json max_iters seed trac
                 List.iter (fun f -> Format.printf "  %a@." Analyze.pp_finding f) findings
               end)
           targets);
-    if !failed then 2
-    else begin
-      let worst_rank =
-        match !worst with None -> -1 | Some s -> Analyze.severity_rank s
-      in
-      let threshold =
-        match fail_on with
-        | `Never -> max_int
-        | `Warning -> Analyze.severity_rank Analyze.Warning
-        | `Error -> Analyze.severity_rank Analyze.Error
-      in
-      if worst_rank >= threshold then 1 else 0
-    end
+    if !failed then 2 else fail_on_status fail_on !reported
 
 let analyze_cmd =
-  let op =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"OP" ~doc:"Operation name (as in $(b,qsmt gen)).")
+  let targets =
+    targets_term ~verb:"analyze"
+      ~smt2_doc:
+        "Analyze every solve unit of an SMT-LIB script as one conjunction ($(b,-) for stdin)."
   in
-  let table1 =
-    Arg.(value & flag & info [ "table1" ] ~doc:"Analyze the paper's six Table 1 constraints.")
-  in
-  let smt2 =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "smt2" ] ~docv:"FILE"
-          ~doc:
-            "Analyze every solve unit of an SMT-LIB script as one conjunction ($(b,-) for \
-             stdin).")
-  in
-  let workload =
-    Arg.(
-      value & opt int 0
-      & info [ "workload" ] ~docv:"N"
-          ~doc:"Analyze $(docv) seeded random constraints from the workload generator.")
-  in
-  let fail_on =
-    Arg.(
-      value
-      & opt (enum [ ("error", `Error); ("warning", `Warning); ("never", `Never) ]) `Error
-      & info [ "fail-on" ] ~docv:"SEVERITY"
-          ~doc:
-            "Exit 1 when any finding reaches $(docv) ($(b,error), $(b,warning), or $(b,never); \
-             default $(b,error)). A static contradiction is an $(b,error) finding.")
-  in
+  let fail_on = fail_on_arg ~doc:" A static contradiction is an $(b,error) finding." in
   let json =
-    Arg.(
-      value & flag
-      & info [ "json" ]
-          ~doc:
-            "Machine-readable output: one JSON object per analyzed conjunction — verdict, \
-             fixpoint stats, forced-bit counts, findings inline.")
+    json_arg
+      ~doc:
+        "Machine-readable output: one JSON object per analyzed conjunction — verdict, fixpoint \
+         stats, forced-bit counts, findings inline."
   in
   let max_iters =
     Arg.(
@@ -1150,8 +1102,8 @@ let analyze_cmd =
   in
   let term =
     Term.(
-      const analyze_action $ op $ op_args $ table1 $ smt2 $ workload $ fail_on $ json
-      $ max_iters $ seed_arg $ trace_arg $ metrics_arg $ metrics_out_arg)
+      const analyze_action $ targets $ fail_on $ json $ max_iters $ seed_arg $ trace_arg
+      $ metrics_arg $ metrics_out_arg)
   in
   Cmd.v
     (Cmd.info "analyze"

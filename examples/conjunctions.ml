@@ -27,14 +27,16 @@ let () =
       match Joint.solve ~sampler conjuncts with
       | Error e -> Format.printf "%-42s error: %s@." label e
       | Ok o ->
+        let value = match o.Solver.value with Constr.Str s -> s | Constr.Pos _ -> "" in
         Format.printf "%-42s -> %S %s@." label
-          (String.map Qsmt_util.Ascii7.clamp_printable o.Joint.value)
-          (if o.Joint.satisfied then "(all conjuncts verified)" else "(FAILED)");
-        if not o.Joint.satisfied then
+          (String.map Qsmt_util.Ascii7.clamp_printable value)
+          (if o.Solver.satisfied then "(all conjuncts verified)" else "(FAILED)");
+        if not o.Solver.satisfied then
           List.iter
-            (fun (c, ok) ->
-              Format.printf "      %-38s %s@." (Constr.describe c) (if ok then "ok" else "violated"))
-            o.Joint.per_constraint)
+            (fun c ->
+              Format.printf "      %-38s %s@." (Constr.describe c)
+                (if Constr.verify c o.Solver.value then "ok" else "violated"))
+            conjuncts)
     [
       ( "palindrome(4) and 'ab' at index 0",
         [

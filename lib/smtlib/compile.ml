@@ -71,9 +71,12 @@ let rec digest env specs ground_truth term =
   let set_length v n =
     let s = spec_for v in
     match s.length with
+    | _ when n < 0 -> Ok (ground_truth := false)
     | Some prior when prior <> n -> Ok (ground_truth := false)
     | Some _ | None -> Ok (s.length <- Some n)
   in
+  (* "" is a substring, prefix and suffix of every string: no fact *)
+  let add_affix v lit add = if lit = "" then Ok () else Ok (add (spec_for v)) in
   match term with
   | t when is_ground t -> begin
     match Eval.term t with
@@ -103,17 +106,20 @@ let rec digest env specs ground_truth term =
   (* str.contains x "lit" *)
   | Ast.App ("str.contains", [ Ast.Var v; sub ]) when is_ground sub ->
     let* sub = eval_ground_string sub in
-    let s = spec_for v in
-    Ok (s.contains <- sub :: s.contains)
+    add_affix v sub (fun s -> s.contains <- sub :: s.contains)
   (* (str.indexof x sub 0) = i *)
   | Ast.App ("=", [ Ast.App ("str.indexof", [ Ast.Var v; sub; Ast.Int 0 ]); Ast.Int i ])
   | Ast.App ("=", [ Ast.Int i; Ast.App ("str.indexof", [ Ast.Var v; sub; Ast.Int 0 ]) ])
     when is_ground sub ->
     let* sub = eval_ground_string sub in
-    let s = spec_for v in
-    (match s.forced_index with
-    | Some prior when prior <> (sub, i) -> Ok (ground_truth := false)
-    | Some _ | None -> Ok (s.forced_index <- Some (sub, i)))
+    (* "" is found at 0 in every string *)
+    if sub = "" then Ok (if i <> 0 then ground_truth := false)
+    else begin
+      let s = spec_for v in
+      match s.forced_index with
+      | Some prior when prior <> (sub, i) -> Ok (ground_truth := false)
+      | Some _ | None -> Ok (s.forced_index <- Some (sub, i))
+    end
   (* i = (str.indexof "hay" "needle" 0) with Int unknown i *)
   | Ast.App ("=", [ Ast.Var v; (Ast.App ("str.indexof", [ hay; sub; Ast.Int 0 ]) as rhs) ])
   | Ast.App ("=", [ (Ast.App ("str.indexof", [ hay; sub; Ast.Int 0 ]) as rhs); Ast.Var v ])
@@ -151,7 +157,9 @@ let rec digest env specs ground_truth term =
       end
     | Ast.App ("str.substr", [ Ast.Var v; Ast.Int i; Ast.Int n ])
       when Typecheck.lookup env v = Some Ast.S_string ->
-      if String.length lit <> n then
+      (* every length-0 substring is "" *)
+      if lit = "" && n = 0 then Ok ()
+      else if String.length lit <> n then
         Error
           "str.substr constraints are only supported when the literal has the requested length"
       else begin
@@ -175,12 +183,10 @@ let rec digest env specs ground_truth term =
   (* str.prefixof "lit" x / str.suffixof "lit" x *)
   | Ast.App ("str.prefixof", [ pre; Ast.Var v ]) when is_ground pre ->
     let* pre = eval_ground_string pre in
-    let s = spec_for v in
-    Ok (s.prefixes <- pre :: s.prefixes)
+    add_affix v pre (fun s -> s.prefixes <- pre :: s.prefixes)
   | Ast.App ("str.suffixof", [ suf; Ast.Var v ]) when is_ground suf ->
     let* suf = eval_ground_string suf in
-    let s = spec_for v in
-    Ok (s.suffixes <- suf :: s.suffixes)
+    add_affix v suf (fun s -> s.suffixes <- suf :: s.suffixes)
   | Ast.App ("str.in_re", [ Ast.Var v; re ]) ->
     let* syntax = Eval.regex re in
     let s = spec_for v in
@@ -195,7 +201,7 @@ let target_consistent spec target =
   (match spec.length with Some n -> String.length target = n | None -> true)
   && List.for_all (fun sub -> Semantics.contains target ~sub) spec.contains
   && (match spec.forced_index with
-     | Some (sub, i) -> i >= 0 && Semantics.occurs_at target ~sub i
+     | Some (sub, i) -> Option.value ~default:(-1) (Semantics.index_of target ~sub) = i
      | None -> true)
   && List.for_all (fun (sub, i) -> Semantics.occurs_at target ~sub i) spec.indices
   && (not spec.palindrome || Semantics.is_palindrome target)
@@ -234,6 +240,8 @@ let conjuncts_of_spec spec ~length =
     | Some (sub, i) ->
       if i >= 0 && i + String.length sub <= length then
         Ok [ Constr.Index_of { length; substring = sub; index = i } ]
+      else if i = -1 then
+        Error (`Unsupported "str.indexof = -1 (an absent substring) is not encodable")
       else Error `Unsat
   in
   let* at_indices =

@@ -1,5 +1,6 @@
 module Constr = Qsmt_strtheory.Constr
 module Solver = Qsmt_strtheory.Solver
+module Absint = Qsmt_strtheory.Absint
 module Telemetry = Qsmt_util.Telemetry
 
 let ( let* ) = Result.bind
@@ -27,13 +28,6 @@ let value_of_constr_value = function
   | Constr.Pos (Some i) -> Some (Eval.V_int i)
   | Constr.Pos None -> None
 
-(* A statically-refuted outcome is a proof (the abstract interpreter's
-   transfer functions only remove characters no satisfying string can
-   use), so — unlike ordinary sampler failure — it may answer `Unsat. *)
-let statically_unsat = function
-  | Some { Qsmt_strtheory.Absint.verdict = Qsmt_strtheory.Absint.V_unsat _; _ } -> true
-  | _ -> false
-
 let annealing_backend ?params ?sampler ?absint ?(telemetry = Telemetry.null) () =
   (* One incremental session per backend: every query runs the staged
      pipeline ([Stage.run]) that [Solver.solve] / [Joint.solve] run, so
@@ -45,26 +39,26 @@ let annealing_backend ?params ?sampler ?absint ?(telemetry = Telemetry.null) () 
      static verdicts. The check-sat sites below take the one GC probe
      per answered query. *)
   let session = Qsmt_strtheory.Incremental.create ?params ?sampler ?absint ~telemetry () in
+  (* A sampler is incomplete: it can certify sat (the decode verifies)
+     but never unsat, so sampling failure is `Unknown. Only a static
+     refutation is a proof (the abstract interpreter's transfer
+     functions only remove characters no satisfying string can use),
+     so only it upgrades to `Unsat. *)
+  let verdict (o : Solver.outcome) =
+    match (o.satisfied, value_of_constr_value o.value, o.decided) with
+    | true, Some v, _ -> `Value v
+    | _, _, Some { Absint.verdict = Absint.V_unsat _; _ } -> `Unsat
+    | _ -> `Unknown
+  in
   {
     backend_name = "annealing";
-    (* A sampler is incomplete: it can certify sat (the decode verifies)
-       but never unsat, so sampling failure is `Unknown — only a static
-       refutation upgrades to `Unsat. *)
     solve_generate =
-      (fun constr ->
-        let outcome = Qsmt_strtheory.Incremental.solve_generate session constr in
-        match (outcome.Solver.satisfied, value_of_constr_value outcome.Solver.value) with
-        | true, Some v -> `Value v
-        | _, _ -> if statically_unsat outcome.Solver.decided then `Unsat else `Unknown);
+      (fun constr -> verdict (Qsmt_strtheory.Incremental.solve_generate session constr));
     solve_joint =
       (fun conjuncts ->
         match Qsmt_strtheory.Incremental.solve_joint session conjuncts with
-        | Error _ -> `Unknown
-        | Ok outcome ->
-          if outcome.Qsmt_strtheory.Joint.satisfied then
-            `Value (Eval.V_str outcome.Qsmt_strtheory.Joint.value)
-          else if statically_unsat outcome.Qsmt_strtheory.Joint.decided then `Unsat
-          else `Unknown);
+        | Ok outcome -> verdict outcome
+        | Error _ -> `Unknown);
   }
 
 let create ?params ?sampler ?backend ?absint ?(telemetry = Telemetry.null) () =

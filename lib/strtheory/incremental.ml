@@ -53,9 +53,9 @@ let query t cs =
 
 let solve_generate t constr =
   match query t [ constr ] with
-  | Ok a -> Solver.outcome_of constr a
+  | Ok a -> a
   | Error msg -> invalid_arg ("Incremental: " ^ msg)
 
 let solve_joint t cs =
   let* _length = Joint.common_length cs in
-  Result.map (Joint.outcome_of cs) (query t cs)
+  query t cs

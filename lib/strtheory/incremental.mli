@@ -63,6 +63,6 @@ val solve_generate : t -> Constr.t -> Solver.outcome
     the problem size matches, and a still-valid previous model
     short-circuits sampling. *)
 
-val solve_joint : t -> Constr.t list -> (Joint.outcome, string) result
+val solve_joint : t -> Constr.t list -> (Solver.outcome, string) result
 (** Incremental counterpart of {!Joint.solve} for conjunctions in
     canonical conjunct order. *)

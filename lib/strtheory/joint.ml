@@ -1,6 +1,3 @@
-module Qubo = Qsmt_qubo.Qubo
-module Sampleset = Qsmt_anneal.Sampleset
-
 let ( let* ) = Result.bind
 
 let compatible c =
@@ -37,37 +34,10 @@ let encode ?params cs =
   let parts = List.map (fun c -> Compile.to_qubo ?params c) cs in
   Ok (Stage.merge_frozen ~num_vars:(7 * length) parts, length)
 
-type outcome = {
-  qubo : Qubo.t;
-  samples : Sampleset.t;
-  value : string;
-  satisfied : bool;
-  per_constraint : (Constr.t * bool) list;
-  decided : Absint.analysis option;
-}
-
-let outcome_of cs (a : Stage.answer) =
-  let value = match a.Stage.value with Constr.Str s -> s | Constr.Pos _ -> "" in
-  let per_constraint =
-    match a.Stage.decided with
-    | Some { Absint.verdict = Absint.V_unsat _; _ } ->
-      (* no value exists: every conjunct is reported unsatisfied *)
-      List.map (fun c -> (c, false)) cs
-    | _ -> List.map (fun c -> (c, Constr.verify c (Constr.Str value))) cs
-  in
-  {
-    qubo = a.Stage.qubo;
-    samples = a.Stage.samples;
-    value;
-    satisfied = a.Stage.satisfied;
-    per_constraint;
-    decided = a.Stage.decided;
-  }
-
 let solve ?params ?sampler ?(absint = `On) ?(telemetry = Qsmt_util.Telemetry.null) cs =
   let sampler =
     match sampler with Some s -> s | None -> Solver.default_sampler ~seed:0
   in
   let* _length = common_length cs in
   let config = { Stage.params; sampler; lint = `Off; lint_config = None; absint; telemetry } in
-  Result.map (outcome_of cs) (Stage.run ~probe:true config cs)
+  Stage.run ~probe:true config cs

@@ -33,35 +33,20 @@ val encode : ?params:Params.t -> Constr.t list -> (Qsmt_qubo.Qubo.t * int, strin
     a conjunct is {!Constr.Includes}, lengths disagree, or any conjunct
     fails its own validation. *)
 
-type outcome = {
-  qubo : Qsmt_qubo.Qubo.t;
-  samples : Qsmt_anneal.Sampleset.t;
-  value : string;  (** decoded best candidate *)
-  satisfied : bool;  (** all conjuncts verified *)
-  per_constraint : (Constr.t * bool) list;  (** which conjuncts the value satisfies *)
-  decided : Absint.analysis option;
-      (** [Some] iff the abstract interpreter decided the conjunction
-          statically: [qubo] is an empty placeholder, [samples] is empty
-          (zero reads), and on unsat [value = ""] with every conjunct
-          reported unsatisfied. A static unsat is a proof. *)
-}
-
-val outcome_of : Constr.t list -> Stage.answer -> outcome
-(** The outcome of a conjunction's {!Stage.run} answer (shared with
-    {!Incremental}). *)
-
 val solve :
   ?params:Params.t ->
   ?sampler:Qsmt_anneal.Sampler.t ->
   ?absint:Absint.gate ->
   ?telemetry:Qsmt_util.Telemetry.t ->
   Constr.t list ->
-  (outcome, string) result
+  (Solver.outcome, string) result
 (** {!Stage.run} over the conjunction: samples once over the merged QUBO
     and scans in energy order for the first string satisfying {e all}
     conjuncts; if none does, the lowest-energy decode is reported with
-    its per-conjunct verdicts. [telemetry] gets the span tree, counters
-    and GC probe of {!Solver.solve_timed}.
+    [satisfied = false] ({!Constr.verify} says which conjuncts it
+    breaks). A static unsat is a proof; its [value] is [Str ""]. [Error]
+    when {!common_length} refuses the conjunction. [telemetry] gets the
+    span tree, counters and GC probe of {!Solver.solve}.
 
     [absint] (default [`On]) runs {!Absint.analyze} over the conjunction
     first: a static verdict skips merging and sampling entirely, and an

@@ -2,8 +2,7 @@ module Sampler = Qsmt_anneal.Sampler
 module Sa = Qsmt_anneal.Sa
 module Parallel = Qsmt_util.Parallel
 
-type outcome = {
-  constr : Constr.t;
+type outcome = Stage.answer = {
   qubo : Qsmt_qubo.Qubo.t;
   samples : Qsmt_anneal.Sampleset.t;
   value : Constr.value;
@@ -13,47 +12,25 @@ type outcome = {
   decided : Absint.analysis option;
 }
 
-type stage_timing = Stage.timing = {
-  encode_s : float;
-  sample_s : float;
-  decode_s : float;
-  verify_s : float;
-}
-
 let default_sampler ~seed =
   Sampler.simulated_annealing ~params:{ Sa.default with Sa.seed } ()
 
 let lift_samples = Stage.lift_samples
 
-let outcome_of constr (a : Stage.answer) =
-  {
-    constr;
-    qubo = a.Stage.qubo;
-    samples = a.Stage.samples;
-    value = a.Stage.value;
-    satisfied = a.Stage.satisfied;
-    energy = a.Stage.energy;
-    hardware = a.Stage.hardware;
-    decided = a.Stage.decided;
-  }
-
-let solve_timed ?params ?sampler ?(lint = `Off) ?lint_config ?(absint = `On)
+let solve ?params ?sampler ?(lint = `Off) ?lint_config ?(absint = `On)
     ?(telemetry = Qsmt_util.Telemetry.null) constr =
   let sampler = match sampler with Some s -> s | None -> default_sampler ~seed:0 in
   match
     Stage.run ~probe:true { Stage.params; sampler; lint; lint_config; absint; telemetry } [ constr ]
   with
-  | Ok a -> (outcome_of constr a, a.Stage.timing)
+  | Ok a -> a
   | Error msg -> invalid_arg ("Solver: " ^ msg)
-
-let solve ?params ?sampler ?lint ?lint_config ?absint ?telemetry constr =
-  fst (solve_timed ?params ?sampler ?lint ?lint_config ?absint ?telemetry constr)
 
 let solve_batch ?params ?sampler ?lint ?lint_config ?absint ?telemetry ?(jobs = 0) constrs =
   let jobs = if jobs > 0 then jobs else Parallel.recommended_domains () in
   let constrs = Array.of_list constrs in
   Array.to_list (Parallel.init_array ?telemetry ~domains:jobs (Array.length constrs) (fun i ->
-      solve_timed ?params ?sampler ?lint ?lint_config ?absint ?telemetry constrs.(i)))
+      solve ?params ?sampler ?lint ?lint_config ?absint ?telemetry constrs.(i)))
 
 type pipeline_error = {
   stage_index : int;

@@ -4,14 +4,15 @@
     back to values, verify classically: {!Stage.run} over a conjunction
     of one. The returned {!outcome} keeps every intermediate artifact so
     callers (CLI, benches, tests) can inspect the pipeline the way the
-    paper's Table 1 presents it: constraint → matrix → output. *)
+    paper's Table 1 presents it: constraint → matrix → output. Stage
+    times are the [encode], [sample] and [decode] span totals of the
+    [telemetry] handle ({!Qsmt_util.Telemetry.span_totals}). *)
 
-type outcome = {
-  constr : Constr.t;
+type outcome = Stage.answer = {
   qubo : Qsmt_qubo.Qubo.t;
   samples : Qsmt_anneal.Sampleset.t;
   value : Constr.value;  (** see [solve] for how it is chosen *)
-  satisfied : bool;  (** [Constr.verify constr value] *)
+  satisfied : bool;  (** [value] satisfies every conjunct ({!Constr.verify}) *)
   energy : float;  (** energy of the sample behind [value] *)
   hardware : Qsmt_anneal.Hardware.stats option;
       (** chain/embedding diagnostics — qubits used, chain-break
@@ -25,14 +26,8 @@ type outcome = {
           reads — no sampler ran), and [energy] is [0.]. A [V_unsat]
           here is a proof, unlike an ordinary [satisfied = false]. *)
 }
-
-type stage_timing = Stage.timing = {
-  encode_s : float;
-  sample_s : float;
-  decode_s : float;
-  verify_s : float;
-}
-(** Per-stage seconds on the monotonic clock; see {!Stage.timing}. *)
+(** {!Stage.answer}, the one answer record every entry point returns
+    ({!Joint.solve} and {!Incremental} too). *)
 
 val default_sampler : seed:int -> Qsmt_anneal.Sampler.t
 (** Simulated annealing, 32 reads × 1000 sweeps — the configuration the
@@ -44,10 +39,6 @@ val lift_samples :
   Qsmt_anneal.Sampleset.t ->
   Qsmt_anneal.Sampleset.t
 (** {!Stage.lift_samples}: the lift step of the absint shrink path. *)
-
-val outcome_of : Constr.t -> Stage.answer -> outcome
-(** The outcome of one constraint's {!Stage.run} answer (shared with
-    {!Incremental}). *)
 
 val solve :
   ?params:Params.t ->
@@ -66,28 +57,16 @@ val solve :
     [lint] (default [`Off]) runs the static linter between encoding and
     sampling and raises {!Lint.Rejected} when any finding reaches the
     gate severity — no annealing time is spent on an encoding the linter
-    can already prove broken. [lint_config] tunes the checks. *)
+    can already prove broken. [lint_config] tunes the checks. It runs
+    inside the [solve] span as a [lint] child.
 
-val solve_timed :
-  ?params:Params.t ->
-  ?sampler:Qsmt_anneal.Sampler.t ->
-  ?lint:Lint.gate ->
-  ?lint_config:Lint.config ->
-  ?absint:Absint.gate ->
-  ?telemetry:Qsmt_util.Telemetry.t ->
-  Constr.t ->
-  outcome * stage_timing
-(** {!solve} plus per-stage timing (the Figure 1 trace). Passes the
-    constraint verifier down to the sampler so portfolio samplers can
-    early-exit on the first satisfying read. The lint gate (when on) runs
-    inside the [solve] span as a [lint] child; its cost is not attributed
-    to any of the four timing buckets.
-
-    [telemetry] gets the {!Stage.run} span tree and counters, is shared
-    with the encoder (per operator counters) and the sampler (sweep
-    streams, portfolio lifecycle), and takes one GC probe ([gc.*]) around
-    the call. Instrumentation never consumes PRNG values, so the outcome
-    is identical with or without it. *)
+    Passes the constraint verifier down to the sampler, so a portfolio
+    stops at its first satisfying read. [telemetry] gets the
+    {!Stage.run} span tree and counters, is shared with the encoder (per
+    operator counters) and the sampler (sweep streams, portfolio
+    lifecycle), and takes one GC probe ([gc.*]) around the call.
+    Instrumentation never consumes PRNG values, so the outcome is
+    identical with or without it. *)
 
 val solve_batch :
   ?params:Params.t ->
@@ -98,13 +77,12 @@ val solve_batch :
   ?telemetry:Qsmt_util.Telemetry.t ->
   ?jobs:int ->
   Constr.t list ->
-  (outcome * stage_timing) list
+  outcome list
 (** Solves many independent constraints concurrently over the shared
     domain pool ([jobs <= 0], the default, means
     {!Qsmt_util.Parallel.recommended_domains}). Results are in input
-    order, each with its own per-stage timings. Each solve is identical
-    to a standalone {!solve_timed} call, so batching never changes
-    results — only wall-clock. *)
+    order. Each solve is identical to a standalone {!solve} call, so
+    batching never changes results — only wall-clock. *)
 
 type pipeline_error = {
   stage_index : int;

@@ -1,7 +1,6 @@
 module Qubo = Qsmt_qubo.Qubo
 module Preprocess = Qsmt_qubo.Preprocess
 module Bitvec = Qsmt_util.Bitvec
-module Mclock = Qsmt_util.Mclock
 module Telemetry = Qsmt_util.Telemetry
 module Sampleset = Qsmt_anneal.Sampleset
 
@@ -14,8 +13,6 @@ type config = {
   telemetry : Telemetry.t;
 }
 
-type timing = { encode_s : float; sample_s : float; decode_s : float; verify_s : float }
-
 type answer = {
   qubo : Qubo.t;
   samples : Sampleset.t;
@@ -24,7 +21,6 @@ type answer = {
   energy : float;
   hardware : Qsmt_anneal.Hardware.stats option;
   decided : Absint.analysis option;
-  timing : timing;
 }
 
 (* Float additions happen in list order, per coefficient slot, so
@@ -71,7 +67,7 @@ let finish cfg span cs a =
   a
 
 (* A static verdict answers before any QUBO exists: no encoding, no
-   timing state, no domain pool, no sampler reads. *)
+   domain pool, no sampler reads. *)
 let static cfg span cs analysis =
   let c0 = List.hd cs in
   let value, satisfied =
@@ -89,7 +85,6 @@ let static cfg span cs analysis =
       energy = 0.;
       hardware = None;
       decided = Some analysis;
-      timing = { encode_s = 0.; sample_s = 0.; decode_s = 0.; verify_s = 0. };
     }
 
 (* One sampler run with the forced bits clamped: the anneal sees only
@@ -140,19 +135,8 @@ let pick ~decode ~verify samples =
 
 let anneal_stages ?cache ?model ?warm cfg span cs analysis =
   let tel = cfg.telemetry and c0 = List.hd cs in
-  (* Verification runs inside the sampler (a portfolio's early-exit
-     callback, possibly on several domains at once) and in the decode
-     scans, so its time is summed under a mutex. *)
-  let mutex = Mutex.create () and verify_s = ref 0. in
-  let timed f x =
-    let dt, r = Mclock.elapsed (fun () -> f x) in
-    Mutex.lock mutex;
-    verify_s := !verify_s +. dt;
-    Mutex.unlock mutex;
-    r
-  in
-  let verify_value = timed (fun value -> List.for_all (fun c -> Constr.verify c value) cs) in
-  let verify bits = verify_value (timed (Compile.decode c0) bits) in
+  let verify_value value = List.for_all (fun c -> Constr.verify c value) cs in
+  let verify bits = verify_value (Compile.decode c0 bits) in
   let fresh = ref [] in
   let part c =
     match Option.bind cache (fun h -> Hashtbl.find_opt h c) with
@@ -165,12 +149,11 @@ let anneal_stages ?cache ?model ?warm cfg span cs analysis =
       fresh := (c, q) :: !fresh;
       q
   in
-  let encode_s, qubo =
-    Mclock.elapsed (fun () ->
-        Telemetry.with_span tel ~parent:span "encode" (fun _ ->
-            match cs with
-            | [ c ] -> part c
-            | cs -> merge_frozen ~num_vars:(Constr.num_vars c0) (List.map part cs)))
+  let qubo =
+    Telemetry.with_span tel ~parent:span "encode" (fun _ ->
+        match cs with
+        | [ c ] -> part c
+        | cs -> merge_frozen ~num_vars:(Constr.num_vars c0) (List.map part cs))
   in
   (* Each part is gated once, when compiled: a merge is a sum of
      individually vetted encodings. On a rejection nothing this query
@@ -186,21 +169,15 @@ let anneal_stages ?cache ?model ?warm cfg span cs analysis =
         with Lint.Rejected _ as e ->
           Option.iter (fun h -> List.iter (fun (c, _) -> Hashtbl.remove h c) !fresh) cache;
           raise e));
-  let sample_s = ref 0. and decode_s = ref 0. in
   let attempt ~forced init =
-    let dt, (samples, hardware) =
-      Mclock.elapsed (fun () ->
-          Telemetry.with_span tel ~parent:span "sample" (fun _ ->
-              sample cfg ?init ~verify ~forced qubo))
+    let samples, hardware =
+      Telemetry.with_span tel ~parent:span "sample" (fun _ ->
+          sample cfg ?init ~verify ~forced qubo)
     in
-    sample_s := !sample_s +. dt;
-    let verified = !verify_s in
-    let dt, picked =
-      Mclock.elapsed (fun () ->
-          Telemetry.with_span tel ~parent:span "decode" (fun _ ->
-              pick ~decode:(Compile.decode c0) ~verify:verify_value samples))
+    let picked =
+      Telemetry.with_span tel ~parent:span "decode" (fun _ ->
+          pick ~decode:(Compile.decode c0) ~verify:verify_value samples)
     in
-    decode_s := !decode_s +. dt -. (!verify_s -. verified);
     Option.map (fun (value, satisfied, energy) -> (samples, hardware, value, satisfied, energy)) picked
   in
   let picked =
@@ -228,10 +205,7 @@ let anneal_stages ?cache ?model ?warm cfg span cs analysis =
   match picked with
   | None -> Error "sampler returned an empty sample set"
   | Some (samples, hardware, value, satisfied, energy) ->
-    let timing = { encode_s; sample_s = !sample_s; decode_s = !decode_s; verify_s = !verify_s } in
-    Ok
-      (finish cfg span cs
-         { qubo; samples; value; satisfied; energy; hardware; decided = None; timing })
+    Ok (finish cfg span cs { qubo; samples; value; satisfied; energy; hardware; decided = None })
 
 let stages ?cache ?model ?warm cfg span cs =
   let tel = cfg.telemetry in

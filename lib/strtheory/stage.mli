@@ -34,16 +34,6 @@ type config = {
   telemetry : Qsmt_util.Telemetry.t;
 }
 
-type timing = {
-  encode_s : float;  (** building the QUBO, lint excluded *)
-  sample_s : float;  (** sampler wall time, clamp, lift and in-sampler verification included *)
-  decode_s : float;  (** the decode scans, verification excluded *)
-  verify_s : float;
-      (** all verification — the sampler's early-exit callbacks (decode +
-          check) and the scans' checks, summed across domains *)
-}
-(** Seconds on {!Qsmt_util.Mclock}; all zero for a static answer. *)
-
 type answer = {
   qubo : Qsmt_qubo.Qubo.t;  (** an empty placeholder for a static answer *)
   samples : Qsmt_anneal.Sampleset.t;
@@ -54,8 +44,12 @@ type answer = {
   energy : float;
   hardware : Qsmt_anneal.Hardware.stats option;
   decided : Absint.analysis option;  (** [Some] iff absint answered *)
-  timing : timing;
 }
+(** The one answer record: {!Solver.outcome} re-exports it, and
+    {!Solver}, {!Joint} and {!Incremental} all return it. Stage times
+    are not part of it: they are the [encode], [sample] and [decode]
+    span totals ({!Qsmt_util.Telemetry.span_totals}) of the handle in
+    [config]. *)
 
 val merge_frozen : num_vars:int -> Qsmt_qubo.Qubo.t list -> Qsmt_qubo.Qubo.t
 (** Adds the parts' coefficients and offsets in list order and freezes

@@ -15,8 +15,3 @@ let now () =
   last := t;
   Mutex.unlock mutex;
   t
-
-let elapsed f =
-  let t0 = now () in
-  let r = f () in
-  (now () -. t0, r)

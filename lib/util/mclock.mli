@@ -7,14 +7,11 @@
     [CLOCK_MONOTONIC], so this module provides the guarantee instead:
     readings are clamped to be non-decreasing across the whole process,
     so intervals are never negative and a backwards clock step costs at
-    most the stalled interval, not a corrupted one. Benches, stage
-    timings, portfolio budgets, CDCL times and trace timestamps all read
-    {!now} rather than calling [Unix.gettimeofday] directly. *)
+    most the stalled interval, not a corrupted one. Benches, span
+    durations (and so stage times), portfolio budgets, CDCL times and
+    trace timestamps all read {!now} rather than calling
+    [Unix.gettimeofday] directly. *)
 
 val now : unit -> float
 (** Seconds since the first load of this module, non-decreasing across
     all domains. Resolution is that of [Unix.gettimeofday] (~1µs). *)
-
-val elapsed : (unit -> 'a) -> float * 'a
-(** [elapsed f] runs [f] and returns its non-negative duration in
-    seconds together with its result. *)

@@ -1,10 +1,11 @@
 (** Unified observability for the solve pipeline.
 
     One event vocabulary replaces the ad-hoc records the layers grew
-    independently ([Solver.stage_timing], bench-side TTS math, hand-rolled
-    hardware stats printing): monotonic spans with parent/child nesting,
-    named counters, streaming histograms, and point events, all pushed
-    through a pluggable sink. Three sinks are built in:
+    independently (a per-stage timing record, bench-side TTS math,
+    hand-rolled hardware stats printing): monotonic spans with
+    parent/child nesting, named counters, streaming histograms, and
+    point events, all pushed through a pluggable sink. Three sinks are
+    built in:
 
     - {!null} — disabled. Every operation starts with one physical
       comparison against this handle and returns; instrumented hot paths

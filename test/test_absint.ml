@@ -346,22 +346,22 @@ let test_shrunk_preserves_models () =
 
 let test_joint_static () =
   (* planted joint contradiction: static unsat without merging *)
-  (match
-     Joint.solve
-       [
-         Constr.Contains { length = 2; substring = "ab" };
-         Constr.Contains { length = 2; substring = "ba" };
-       ]
-   with
+  let contradiction =
+    [
+      Constr.Contains { length = 2; substring = "ab" };
+      Constr.Contains { length = 2; substring = "ba" };
+    ]
+  in
+  (match Joint.solve contradiction with
   | Error m -> Alcotest.fail m
   | Ok o ->
-    Alcotest.(check bool) "joint unsat: not satisfied" false o.Joint.satisfied;
-    Alcotest.(check bool) "joint unsat: decided" true (o.Joint.decided <> None);
-    check Alcotest.int "joint unsat: zero reads" 0 (Sampleset.total_reads o.Joint.samples);
+    Alcotest.(check bool) "joint unsat: not satisfied" false o.Solver.satisfied;
+    Alcotest.(check bool) "joint unsat: decided" true (o.Solver.decided <> None);
+    check Alcotest.int "joint unsat: zero reads" 0 (Sampleset.total_reads o.Solver.samples);
     Alcotest.(check bool)
       "joint unsat: all conjuncts unsatisfied"
       true
-      (List.for_all (fun (_, ok) -> not ok) o.Joint.per_constraint));
+      (List.for_all (fun c -> not (Constr.verify c o.Solver.value)) contradiction));
   (* fully determined joint system: static sat, classically verified *)
   match
     Joint.solve
@@ -372,10 +372,10 @@ let test_joint_static () =
   with
   | Error m -> Alcotest.fail m
   | Ok o ->
-    Alcotest.(check bool) "joint sat" true o.Joint.satisfied;
-    check Alcotest.string "joint value" "abba" o.Joint.value;
-    Alcotest.(check bool) "joint decided" true (o.Joint.decided <> None);
-    check Alcotest.int "joint zero reads" 0 (Sampleset.total_reads o.Joint.samples)
+    Alcotest.(check bool) "joint sat" true o.Solver.satisfied;
+    Alcotest.(check bool) "joint value" true (o.Solver.value = Constr.Str "abba");
+    Alcotest.(check bool) "joint decided" true (o.Solver.decided <> None);
+    check Alcotest.int "joint zero reads" 0 (Sampleset.total_reads o.Solver.samples)
 
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)

@@ -317,7 +317,7 @@ let test_embed_anneal_unembed_preserves_table1 () =
     suite
 
 let test_solver_carries_hardware_stats () =
-  (* solve_timed through the hardware sampler surfaces the diagnostics;
+  (* Solver.solve through the hardware sampler surfaces the diagnostics;
      a second same-shape solve reuses the cached embedding. *)
   Hardware.clear_embedding_cache ();
   let constr = Constr.Includes { haystack = "hello world"; needle = "world" } in

@@ -655,6 +655,49 @@ let test_interp_prefix_suffix_eval () =
     (ok_exn (Eval.term (Ast.App ("str.suffixof", [ Ast.Str "lo"; Ast.Str "hello" ])))
     = Eval.V_bool true)
 
+(* Facts the encoders reject are decided by the front end: the
+   interpreter answers them instead of reporting an encoder error. *)
+let answer fact =
+  run
+    (Printf.sprintf "(declare-const x String)(assert (= (str.len x) 2))(assert %s)(check-sat)"
+       fact)
+
+let test_interp_empty_substring_holds () =
+  List.iter
+    (fun fact -> check (Alcotest.list Alcotest.string) fact [ "sat" ] (answer fact))
+    [
+      {|(str.contains x "")|};
+      {|(str.prefixof "" x)|};
+      {|(str.suffixof "" x)|};
+      {|(= (str.indexof x "" 0) 0)|};
+      {|(= (str.substr x 1 0) "")|};
+    ]
+
+let test_interp_empty_substring_index_unsat () =
+  check (Alcotest.list Alcotest.string) "found only at 0" [ "unsat" ]
+    (answer {|(= (str.indexof x "" 0) 1)|})
+
+let test_interp_negative_length_unsat () =
+  check (Alcotest.list Alcotest.string) "no negative length" [ "unsat" ]
+    (run "(declare-const x String)(assert (= (str.len x) (- 1)))(check-sat)")
+
+let test_interp_indexof_first_occurrence () =
+  (* str.indexof names the first occurrence: "ab" also sits at 2 in
+     "abab", but indexof is 0 *)
+  let indexof target i =
+    run
+      (Printf.sprintf
+         {|(declare-const x String)(assert (= x %S))(assert (= (str.indexof x "ab" 0) %s))(check-sat)|}
+         target i)
+  in
+  check (Alcotest.list Alcotest.string) "second occurrence" [ "unsat" ] (indexof "abab" "2");
+  check (Alcotest.list Alcotest.string) "first occurrence" [ "sat" ] (indexof "abab" "0");
+  check (Alcotest.list Alcotest.string) "absent is -1" [ "sat" ] (indexof "cd" "(- 1)");
+  check (Alcotest.list Alcotest.string) "present is not -1" [ "unsat" ] (indexof "ab" "(- 1)");
+  (* an absent substring has no encoding: unknown, not a refutation *)
+  check (Alcotest.list Alcotest.string) "absent, not encodable" [ "unknown" ]
+    (answer {|(= (str.indexof x "ab" 0) (- 1))|})
+
 let () =
   Alcotest.run "qsmt_smtlib"
     [
@@ -752,5 +795,11 @@ let () =
           Alcotest.test_case "str.substr" `Quick test_interp_str_substr;
           Alcotest.test_case "str.at out of range" `Quick test_interp_str_at_out_of_range_unsat;
           Alcotest.test_case "prefix/suffix eval" `Quick test_interp_prefix_suffix_eval;
+          Alcotest.test_case "empty substring holds" `Quick test_interp_empty_substring_holds;
+          Alcotest.test_case "empty substring index" `Quick
+            test_interp_empty_substring_index_unsat;
+          Alcotest.test_case "negative length unsat" `Quick test_interp_negative_length_unsat;
+          Alcotest.test_case "indexof first occurrence" `Quick
+            test_interp_indexof_first_occurrence;
         ] );
     ]
