@@ -90,8 +90,9 @@ let naive_kernel ~rng ~schedule ising spins =
 (* The same sweeps through the incremental state, O(1) per proposal:
    the loop scalar SA ships, drawing the same values as the one above. *)
 let fields_kernel ~rng ~schedule fields =
-  for k = 0 to Schedule.sweeps schedule - 1 do
-    ignore (Fields.metropolis_sweep fields ~rng ~beta:(Schedule.beta schedule k))
+  let betas = schedule.Schedule.betas in
+  for sweep = 0 to Array.length betas - 1 do
+    ignore (Fields.metropolis_sweep fields ~rng ~betas ~sweep)
   done
 
 let best_of f =
@@ -331,6 +332,7 @@ let packed_sweeps = if fast then 40 else 150
 let multispin_kernel_throughput ising =
   let n = Ising.num_spins ising in
   let beta = snd (Schedule.default_beta_range ising) in
+  let betas = [| beta |] in
   let warmup = packed_sweeps / 2 in
   let starts rng = Array.init replica_lanes (fun _ -> Bitvec.random rng n) in
   let timed build sweep =
@@ -352,7 +354,8 @@ let multispin_kernel_throughput ising =
   let scalar_t =
     timed
       (fun rng -> Array.map (fun s -> Fields.create ising (Bitvec.copy s)) (starts rng))
-      (fun rng fields -> Array.iter (fun f -> ignore (Fields.metropolis_sweep f ~rng ~beta)) fields)
+      (fun rng fields ->
+        Array.iter (fun f -> ignore (Fields.metropolis_sweep f ~rng ~betas ~sweep:0)) fields)
   in
   let packed_t =
     timed

@@ -1169,17 +1169,17 @@ let run_action path sampler no_absint trace metrics metrics_out progress =
     else In_channel.with_open_text path In_channel.input_all
   in
   let absint = if no_absint then `Off else `On in
-  let result =
+  let lines, error =
     with_telemetry ~trace ~metrics ~metrics_out ~progress (fun telemetry ->
         match sampler with
-        | None -> Interp.run_string ~backend:(classical_backend ()) ~telemetry source
-        | Some sampler -> Interp.run_string ~sampler ~absint ~telemetry source)
+        | None -> Interp.run_string_partial ~backend:(classical_backend ()) ~telemetry source
+        | Some sampler -> Interp.run_string_partial ~sampler ~absint ~telemetry source)
   in
-  match result with
-  | Ok lines ->
-    List.iter print_endline lines;
-    0
-  | Error msg ->
+  (* the answers given before a failing command stay printed *)
+  List.iter print_endline lines;
+  match error with
+  | None -> 0
+  | Some msg ->
     prerr_endline ("qsmt: " ^ msg);
     2
 

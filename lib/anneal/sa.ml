@@ -20,14 +20,15 @@ let read_rng ~seed r = Prng.stream ~seed r
 
 (* The schedule over an already-built incremental state: one
    [Fields.metropolis_sweep] per sweep, [stop] polled before each. The
-   per-spin loop lives in [Fields], next to the field array, where it
-   allocates nothing; what remains here costs a boxed beta per sweep. *)
+   per-spin loop lives in [Fields], next to the field array, and reads
+   each sweep's beta from the schedule's own array, so a sweep allocates
+   nothing. *)
 let anneal_fields ~rng ~schedule ?on_sweep ?stop fields =
   let stopped () = match stop with Some f -> f () | None -> false in
+  let betas = schedule.Schedule.betas in
   let k = ref 0 in
-  let sweeps = Schedule.sweeps schedule in
-  while !k < sweeps && not (stopped ()) do
-    let accepted = Fields.metropolis_sweep fields ~rng ~beta:(Schedule.beta schedule !k) in
+  while !k < Array.length betas && not (stopped ()) do
+    let accepted = Fields.metropolis_sweep fields ~rng ~betas ~sweep:!k in
     (match on_sweep with
     | Some f -> f ~sweep:!k ~energy:(Fields.energy fields) ~accepted
     | None -> ());

@@ -12,7 +12,11 @@ type kind =
   | Geometric  (** β multiplied by a constant ratio each sweep (default) *)
   | Linear  (** β increased by a constant step each sweep *)
 
-type t
+type t = private { kind : kind; betas : float array }
+(** [betas.(k)] is the β of sweep [k]. The record is readable so a
+    sampler can hand the array itself to
+    {!Qsmt_qubo.Fields.metropolis_sweep}, once per solve and without
+    copying it; treat it as read-only. *)
 
 val make : ?kind:kind -> beta_hot:float -> beta_cold:float -> sweeps:int -> unit -> t
 (** @raise Invalid_argument if [sweeps < 1], a β is non-positive, or
@@ -31,5 +35,7 @@ val beta : t -> int -> float
     in [k]. *)
 
 val betas : t -> float array
+(** A fresh copy of the β array. *)
+
 val kind : t -> kind
 val pp : Format.formatter -> t -> unit

@@ -7,6 +7,10 @@ type t = {
   col : int array;
   value : float array;
   mutable spins : Ising.spins;
+  sign : float array;
+      (* [sign.(i)] is spin [i] as [1.] or [-1.], mirroring [spins]: a
+         local array read, where [Bitvec.get] is a call into another
+         module on every [delta] *)
   field : float array;
   energy : float array;
       (* one cell: a float array stores it unboxed, where a mutable float
@@ -24,6 +28,7 @@ let check_length ising spins =
 let recompute t =
   let n = Ising.num_spins t.ising in
   for i = 0 to n - 1 do
+    t.sign.(i) <- (if Bitvec.get t.spins i then 1. else -1.);
     t.field.(i) <- Ising.local_field t.ising t.spins i
   done;
   t.energy.(0) <- Ising.energy t.ising t.spins;
@@ -45,6 +50,7 @@ let create ?(refresh_every = 0) ising spins =
       col;
       value;
       spins;
+      sign = Array.make (Ising.num_spins ising) 0.;
       field = Array.make (Ising.num_spins ising) 0.;
       energy = [| 0. |];
       refresh_every;
@@ -59,20 +65,21 @@ let num_spins t = Ising.num_spins t.ising
 let spins t = t.spins
 let energy t = t.energy.(0)
 let field t i = t.field.(i)
-let[@inline] spin_sign t i = if Bitvec.get t.spins i then 1. else -1.
 
 (* Same expression shape as Ising.flip_delta so the two agree exactly
    whenever the tracked field does. *)
-let[@inline] delta t i = -2. *. spin_sign t i *. t.field.(i)
+let[@inline] delta t i = -2. *. t.sign.(i) *. t.field.(i)
 
 let refresh t = recompute t
 
 let flip t i =
   t.energy.(0) <- t.energy.(0) +. delta t i;
   Bitvec.flip t.spins i;
+  let s = -.t.sign.(i) in
+  t.sign.(i) <- s;
   (* s_i changed by (new - old) = 2 * new, so f_j += 2 * J_ij * new_s_i;
      f_i itself does not depend on s_i and is untouched. *)
-  let two_s = 2. *. spin_sign t i in
+  let two_s = 2. *. s in
   for k = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
     let j = t.col.(k) in
     t.field.(j) <- t.field.(j) +. (t.value.(k) *. two_s)
@@ -80,17 +87,31 @@ let flip t i =
   t.flips <- t.flips + 1;
   if t.refresh_every > 0 && t.flips >= t.refresh_every then recompute t
 
-(* The scalar SA inner loop. It lives here, next to the field array, so
-   [delta] inlines and the uniform is drawn as an immediate int: nothing
-   in the loop is boxed. The uniform is drawn only for uphill moves, and
-   [float_of_int (Prng.bits53 rng) *. 0x1.0p-53] is [Prng.float rng], so
-   the stream and every decision match a loop over [delta], [Prng.float]
-   and [flip]. *)
-let metropolis_sweep t ~rng ~beta =
+(* The scalar SA inner loop. It lives here, next to the sign and field
+   arrays, so [delta] inlines and the uniform is drawn as an immediate
+   int: nothing in the loop is boxed. The uniform is drawn only for
+   uphill moves, and [float_of_int (Prng.bits53 rng) *. 0x1.0p-53] is
+   [Prng.float rng], so the stream and every decision match a loop over
+   [delta], [Prng.float] and [flip]. [beta] is fixed for the sweep, so an
+   uphill delta equal to the previous one has the same acceptance
+   probability: the string encodings' fields take few distinct values,
+   and a run of equal deltas pays for one [exp]. *)
+let metropolis_sweep t ~rng ~betas ~sweep =
+  let beta = betas.(sweep) in
   let accepted = ref 0 in
-  for i = 0 to Ising.num_spins t.ising - 1 do
+  let last_d = ref Float.nan and last_p = ref 0. in
+  for i = 0 to Array.length t.sign - 1 do
     let d = delta t i in
-    if d <= 0. || float_of_int (Prng.bits53 rng) *. 0x1.0p-53 < Float.exp (-.beta *. d) then begin
+    let accept =
+      d <= 0.
+      ||
+      (if d <> !last_d then begin
+         last_d := d;
+         last_p := Float.exp (-.beta *. d)
+       end;
+       float_of_int (Prng.bits53 rng) *. 0x1.0p-53 < !last_p)
+    in
+    if accept then begin
       flip t i;
       incr accepted
     end

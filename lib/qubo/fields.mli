@@ -17,7 +17,8 @@
 
     Invariants (restored by every {!flip}):
 
-    {v f_i  = h_i + sum_j J_ij s_j        for all i
+    {v sign_i = s_i  (1. or -1.)             for all i
+   f_i    = h_i + sum_j J_ij s_j        for all i
    energy = offset + sum_i h_i s_i + sum_{i<j} J_ij s_i s_j v}
 
     Floating-point drift: each accepted flip updates [energy] and the
@@ -45,7 +46,9 @@ val problem : t -> Ising.t
 val num_spins : t -> int
 
 val spins : t -> Ising.spins
-(** The live assignment — aliased, not a copy. *)
+(** The live assignment — aliased, not a copy. The kernel also mirrors
+    it as an array of spin signs ([1.] / [-1.]), which {!delta} reads;
+    {!flip}, {!refresh} and {!reset} keep the two in step. *)
 
 val energy : t -> float
 (** Tracked [H(s)], O(1). The value is stored unboxed, but the returned
@@ -64,16 +67,21 @@ val flip : t -> int -> unit
 (** Flips spin [i]: applies {!delta} to the energy, toggles the bit, and
     updates the neighbors' fields. O(degree i). Allocates nothing. *)
 
-val metropolis_sweep : t -> rng:Qsmt_util.Prng.t -> beta:float -> int
-(** [metropolis_sweep t ~rng ~beta] runs one Metropolis pass over spins
-    [0 .. n-1] in order at inverse temperature [beta] and returns the
-    number of accepted flips. Spin [i] flips when [delta t i <= 0.], or
-    else when a uniform from [rng] is [< exp (-. beta *. delta t i)];
-    the uniform is drawn only for uphill moves. Accepted flips go
-    through {!flip}, so [refresh_every] applies. The draws and decisions
-    are exactly those of the loop [delta], [Prng.float], [flip]; unlike
-    that loop, this one allocates nothing. The scalar twin of
-    {!Multispin.metropolis_sweep}, and scalar SA's inner loop. *)
+val metropolis_sweep : t -> rng:Qsmt_util.Prng.t -> betas:float array -> sweep:int -> int
+(** [metropolis_sweep t ~rng ~betas ~sweep] runs one Metropolis pass over
+    spins [0 .. n-1] in order at inverse temperature [betas.(sweep)] and
+    returns the number of accepted flips. Spin [i] flips when
+    [delta t i <= 0.], or else when a uniform from [rng] is
+    [< exp (-. beta *. delta t i)]; the uniform is drawn only for uphill
+    moves. Accepted flips go through {!flip}, so [refresh_every] applies.
+    The draws and decisions are exactly those of the loop [delta],
+    [Prng.float], [flip]; unlike that loop, this one allocates nothing:
+    β is read from the array in place (a [float] argument would be boxed
+    by every caller in another module), and an uphill [delta] equal to
+    the previous one reuses its [exp], which yields the same value. A
+    fixed β is [~betas:[| beta |] ~sweep:0]. The scalar twin of
+    {!Multispin.metropolis_sweep}, and scalar SA's inner loop.
+    @raise Invalid_argument if [sweep] is out of [betas]' bounds. *)
 
 val refresh : t -> unit
 (** Recomputes every field and the energy from the current spins in

@@ -81,5 +81,18 @@ val run_string :
     in {!create}; parsing is additionally bracketed in an [smtlib.parse]
     span. *)
 
+val run_string_partial :
+  ?params:Qsmt_strtheory.Params.t ->
+  ?sampler:Qsmt_anneal.Sampler.t ->
+  ?backend:backend ->
+  ?absint:Qsmt_strtheory.Absint.gate ->
+  ?telemetry:Qsmt_util.Telemetry.t ->
+  string ->
+  string list * string option
+(** {!run_string} that keeps the answers already given: the output lines
+    of every command run before the end, the first [Exit] or the first
+    error, and that error ([None] when there was none; a parse error
+    comes with no lines). [qsmt run] prints the lines, then the error. *)
+
 val model : state -> (string * Eval.value) list option
 (** Model from the last [check-sat], if it answered [sat]. *)

@@ -60,6 +60,12 @@ val verify : t -> value -> bool
     semantics: the first [7·target_length] decoded bits are 1 and the
     rest 0. *)
 
+val verifier : t -> value -> bool
+(** [verifier c] is [verify c], with the constraint's own setup done once
+    when partially applied: a {!Regex} pattern is determinized there
+    instead of on every call. Build it once per query and call it per
+    candidate value. *)
+
 val describe : t -> string
 (** One line, human-readable (used in experiment tables). *)
 

@@ -135,7 +135,8 @@ let pick ~decode ~verify samples =
 
 let anneal_stages ?cache ?model ?warm cfg span cs analysis =
   let tel = cfg.telemetry and c0 = List.hd cs in
-  let verify_value value = List.for_all (fun c -> Constr.verify c value) cs in
+  let verifiers = List.map Constr.verifier cs in
+  let verify_value value = List.for_all (fun check -> check value) verifiers in
   let verify bits = verify_value (Compile.decode c0 bits) in
   let fresh = ref [] in
   let part c =

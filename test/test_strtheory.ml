@@ -447,6 +447,50 @@ let test_decode_length_mismatch () =
     (Invalid_argument "Compile.decode: sample has 3 bits, constraint uses 7") (fun () ->
       ignore (Compile.decode (Constr.Equals "a") (Bitvec.create 3)))
 
+(* Random constraints of every workload kind plus hand-picked regexes
+   (whose strings over [abc] match often enough to exercise both
+   answers), against values of both kinds. *)
+let gen_verify_case =
+  let open QCheck2.Gen in
+  let* c =
+    oneof
+      [
+        map (fun seed -> Workload.generate ~rng:(Prng.create seed) ~max_length:5 ()) (int_range 0 99999);
+        map2
+          (fun pattern length -> Constr.Regex { pattern = Rparser.parse_exn pattern; length })
+          (oneofl [ "a[bc]+"; "[ab]*c"; "(ab|c)+"; "a?b[bc]?" ])
+          (int_range 0 5);
+        (let* num_chars = int_range 0 4 in
+         let* target_length = int_range 0 num_chars in
+         return (Constr.Has_length { num_chars; target_length }));
+      ]
+  in
+  let* value =
+    oneof
+      [
+        map (fun s -> Constr.Str s) (string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; '\127'; '\000' ]) (int_range 0 6));
+        map (fun p -> Constr.Pos p) (opt (int_range 0 6));
+      ]
+  in
+  return (c, value)
+
+let prop_verifier_is_verify =
+  qtest ~count:500 "verifier c v = verify c v" gen_verify_case (fun (c, v) ->
+      Constr.verifier c v = Constr.verify c v)
+
+let test_verifier_allocation () =
+  (* a built verifier matches against its DFA; determinizing [a[bc]+]
+     per call costs ~32k words *)
+  let check_value = Constr.verifier (Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 5 }) in
+  let value = Constr.Str "abcbc" in
+  ignore (check_value value);
+  let w0 = Gc.minor_words () in
+  let ok = Sys.opaque_identity (check_value value) in
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.bool "matches" true ok;
+  if not (words < 100.) then
+    Alcotest.failf "prebuilt regex verifier allocated %.0f minor words, limit 100" words
+
 (* ------------------------------------------------------------------ *)
 (* Solver behaviour *)
 
@@ -913,6 +957,8 @@ let () =
           Alcotest.test_case "validate" `Quick test_constr_validate;
           Alcotest.test_case "verify wrong kind" `Quick test_verify_wrong_value_kind;
           Alcotest.test_case "decode length mismatch" `Quick test_decode_length_mismatch;
+          prop_verifier_is_verify;
+          Alcotest.test_case "verifier built once" `Quick test_verifier_allocation;
         ] );
       ( "joint",
         [
