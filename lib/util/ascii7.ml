@@ -40,6 +40,11 @@ let var_of ~char_index ~bit =
   if bit < 0 || bit >= 7 then invalid_arg "Ascii7.var_of: bit out of [0,7)";
   (7 * char_index) + bit
 
+let rec fits_from s i =
+  i = String.length s || (Char.code (String.unsafe_get s i) <= 127 && fits_from s (i + 1))
+
+let fits s = fits_from s 0
+
 let is_printable c =
   let code = Char.code c in
   code >= 32 && code <= 126

@@ -34,6 +34,10 @@ val var_of : char_index:int -> bit:int -> int
 (** [var_of ~char_index:j ~bit:i] is the QUBO variable index [7 j + i] of
     bit [i] (MSB first, [0 <= i < 7]) of character [j]. *)
 
+val fits : string -> bool
+(** Every character is 7-bit ASCII (code <= 127): the strings {!encode}
+    accepts. *)
+
 val is_printable : char -> bool
 (** Codes 32-126. *)
 
