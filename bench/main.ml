@@ -17,7 +17,8 @@
      [Ext-2]    sampler ablation (SA / SQA / tabu / greedy / exact) and
                 encoding ablations (overwrite-vs-sum, class width)
      [Ext-3]    classical baselines: CDCL bit-blasting and brute force
-     [Ext-4]    hardware model: chain strength and control noise
+     [Ext-4]    hardware model: chain strength (EXPERIMENTS Ext-11's
+                sweep and adaptive row) and control noise
      [Ext-5]    joint (merged-QUBO) conjunctions vs the paper's pipelines
      [Ext-6]    QUBO preprocessing (Lewis-Glover fixing, paper ref [37])
      [Ext-7]    time-to-solution, convergence, frustrated spin glasses
@@ -438,36 +439,69 @@ let ext3 () =
 (* ================================================================== *)
 (* Ext-4: hardware model *)
 
+(* The chain penalty is the one free parameter a QPU submission must get
+   right: too weak and chains break (majority-vote garbage), too strong
+   and it drowns the logical energy scale (ground-state probability
+   collapses). The sweep pins each strength with escalation off, so each
+   is measured raw, over the densest Table-1 constraint (Includes: a
+   complete interaction graph, hence the longest chains), a denser
+   variant and a palindrome, then reports what the adaptive escalation
+   loop picks from its default guess. *)
+let chain_strength_sweep (name, constr) =
+  let qubo = Compile.to_qubo constr in
+  let topology = Hardware.auto_topology ~seed:5 ~kind:`Chimera qubo in
+  let base =
+    { (Hardware.default_params topology) with
+      Hardware.embed_tries = 64;
+      anneal =
+        { Sa.default with
+          Sa.seed = 5;
+          reads = (if fast then 16 else 64);
+          sweeps = (if fast then 300 else 1000)
+        }
+    }
+  in
+  Format.printf "@.%s: %s on %s@." name (Constr.describe constr) (Topology.name topology);
+  Format.printf "%10s %8s %9s %9s@." "strength" "breaks" "groundP" "verified";
+  let measure params =
+    let r = Hardware.sample ~params qubo in
+    let best = Sampleset.best r.Hardware.samples in
+    (r, Constr.verify constr (Compile.decode constr best.Sampleset.bits))
+  in
+  List.iter
+    (fun strength ->
+      let r, verified =
+        measure { base with Hardware.chain_strength = Some strength; max_escalations = 0 }
+      in
+      Format.printf "%10.3f %7.1f%% %8.1f%% %9s@." strength
+        (100. *. r.Hardware.stats.Hardware.mean_chain_break_fraction)
+        (100. *. Sampleset.ground_probability r.Hardware.samples ~tol:1e-9)
+        (if verified then "yes" else "no"))
+    (if fast then [ 0.25; 1.0; 8.0 ] else [ 0.125; 0.25; 0.5; 1.0; 2.0; 4.0; 8.0; 16.0 ]);
+  let s = (fst (measure base)).Hardware.stats in
+  Format.printf
+    "adaptive: strength %g after %d escalations, breaks %.1f%%%s (%d logical vars, %d qubits, \
+     longest chain %d)@."
+    s.Hardware.chain_strength s.Hardware.escalations
+    (100. *. s.Hardware.mean_chain_break_fraction)
+    (if s.Hardware.degraded <> None then " DEGRADED" else "")
+    (Qubo.num_vars qubo) s.Hardware.qubits_used s.Hardware.max_chain_length
+
 let ext4 () =
   header "Ext-4: hardware model (minor embedding on Chimera, chains, control noise)";
+  subheader "chain strength sweep (noise 0, pinned strength; then the adaptive loop)";
+  List.iter chain_strength_sweep
+    [
+      ("includes-k7", Constr.Includes { haystack = "hello world"; needle = "world" });
+      ("includes-k7-dense", Constr.Includes { haystack = "abcabcabc"; needle = "abc" });
+      ("palindrome-6", Constr.Palindrome { length = 6 });
+    ];
   let constr = Constr.Includes { haystack = "abcabcabc"; needle = "abc" } in
   let qubo = Compile.to_qubo constr in
   let topology = Topology.chimera ~m:3 () in
+  subheader "control-noise sweep (auto chain strength)";
   Format.printf "problem: %s (%d logical vars, K%d interactions) on %s@."
     (Constr.describe constr) (Qubo.num_vars qubo) (Qubo.num_vars qubo) (Topology.name topology);
-  subheader "chain strength sweep (noise 0)";
-  Format.printf "%8s %10s %12s %14s@." "strength" "breaks" "groundP" "logical bestE";
-  List.iter
-    (fun chain_strength ->
-      let params =
-        (* Pin the strength: the sweep measures break behaviour at each
-           value, so the adaptive escalation loop must stay off. *)
-        { (Hardware.default_params topology) with
-          Hardware.chain_strength = Some chain_strength;
-          Hardware.embed_tries = 64;
-          Hardware.max_escalations = 0;
-          Hardware.anneal = { Sa.default with Sa.seed = 5; reads; sweeps }
-        }
-      in
-      match Hardware.sample ~params qubo with
-      | r ->
-        Format.printf "%8.2f %9.1f%% %11.0f%% %14.2f@." chain_strength
-          (100. *. r.Hardware.stats.Hardware.mean_chain_break_fraction)
-          (100. *. Sampleset.ground_probability r.Hardware.samples ~tol:1e-9)
-          (Sampleset.lowest_energy r.Hardware.samples)
-      | exception Hardware.Embedding_failed msg -> Format.printf "embedding failed: %s@." msg)
-    (if fast then [ 1.0; 8.0 ] else [ 0.5; 1.0; 2.0; 4.0; 8.0; 16.0 ]);
-  subheader "control-noise sweep (auto chain strength)";
   Format.printf "%8s %10s %12s %10s@." "sigma" "breaks" "groundP" "verified";
   List.iter
     (fun noise_sigma ->

@@ -31,7 +31,6 @@ module Tabu = Qsmt_anneal.Tabu
 module Greedy = Qsmt_anneal.Greedy
 module Portfolio = Qsmt_anneal.Portfolio
 module Interp = Qsmt_smtlib.Interp
-module Eval = Qsmt_smtlib.Eval
 module Ast = Qsmt_smtlib.Ast
 module Parser = Qsmt_smtlib.Parser
 module Strsolver = Qsmt_classical.Strsolver
@@ -442,63 +441,6 @@ let sampler_term =
   Term.(
     const build $ sampler_arg $ seed_arg $ reads_arg $ sweeps_arg $ domains_arg $ packed_arg
     $ jobs_arg $ budget_arg $ topology_arg $ topology_size_arg $ chain_strength_arg $ noise_arg)
-
-(* CDCL bit-blasting as an SMT-LIB theory backend: complete on the
-   supported fragment, so (unlike the samplers) it may answer `Unsat.
-   One incremental session per backend — repeated queries across a
-   push/pop script hit the outcome cache, and conjunctions share a
-   single assumption-based CDCL instance that keeps its learned
-   clauses. *)
-let classical_backend () =
-  let session = Strsolver.Session.create () in
-  let value_of = function
-    | Constr.Str s -> Some (Eval.V_str s)
-    | Constr.Pos (Some i) -> Some (Eval.V_int i)
-    | Constr.Pos None -> None
-  in
-  let solve_one constr =
-    let o = Strsolver.Session.solve session constr in
-    match o.Strsolver.result with
-    | `Unsat -> `Unsat
-    | `Sat when o.Strsolver.satisfied -> begin
-      match Option.bind o.Strsolver.value value_of with
-      | Some v -> `Value v
-      | None -> `Unknown
-    end
-    | `Sat | `Unknown -> `Unknown
-  in
-  {
-    Interp.backend_name = "classical";
-    solve_generate = solve_one;
-    solve_joint =
-      (fun conjuncts ->
-        match Strsolver.Session.solve_joint session conjuncts with
-        | Ok (`Sat s, _) -> `Value (Eval.V_str s)
-        | Ok (`Unsat, _) -> `Unsat (* exact: a real refutation *)
-        | Ok (`Unknown, _) -> `Unknown
-        | Error _ ->
-          (* not joint-encodable (an Includes conjunct, length mismatch):
-             solve each conjunct independently; any refuted conjunct
-             refutes the conjunction, and any conjunct's model that
-             verifies against all conjuncts is a model of the
-             conjunction. Anything else stays unknown. *)
-          let outcomes = List.map (Strsolver.Session.solve session) conjuncts in
-          if List.exists (fun o -> o.Strsolver.result = `Unsat) outcomes then `Unsat
-          else begin
-            let candidate_ok v = List.for_all (fun c -> Constr.verify c v) conjuncts in
-            let witness =
-              List.find_map
-                (fun o ->
-                  match (o.Strsolver.result, o.Strsolver.value) with
-                  | `Sat, Some (Constr.Str _ as v) when o.Strsolver.satisfied && candidate_ok v
-                    ->
-                    Some v
-                  | _ -> None)
-                outcomes
-            in
-            match Option.bind witness value_of with Some v -> `Value v | None -> `Unknown
-          end);
-  }
 
 (* ------------------------------------------------------------------ *)
 (* operation parsing for `gen` and `matrix` *)
@@ -1172,7 +1114,7 @@ let run_action path sampler no_absint trace metrics metrics_out progress =
   let lines, error =
     with_telemetry ~trace ~metrics ~metrics_out ~progress (fun telemetry ->
         match sampler with
-        | None -> Interp.run_string_partial ~backend:(classical_backend ()) ~telemetry source
+        | None -> Interp.run_string_partial ~backend:(Interp.classical_backend ()) ~telemetry source
         | Some sampler -> Interp.run_string_partial ~sampler ~absint ~telemetry source)
   in
   (* the answers given before a failing command stay printed *)
@@ -1205,7 +1147,7 @@ let run_cmd =
 let repl_action sampler no_absint =
   let st =
     match sampler with
-    | None -> Interp.create ~backend:(classical_backend ()) ()
+    | None -> Interp.create ~backend:(Interp.classical_backend ()) ()
     | Some sampler -> Interp.create ~sampler ~absint:(if no_absint then `Off else `On) ()
   in
   let stop = ref None in

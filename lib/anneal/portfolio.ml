@@ -62,7 +62,6 @@ let run ?(params = default) ?init ?verify ?(telemetry = Telemetry.null) q =
           ]
     end
   in
-  let reports = Array.make n None in
   let run_one k =
     let m = members.(k) in
     let name = m.Sampler.name in
@@ -125,41 +124,19 @@ let run ?(params = default) ?init ?verify ?(telemetry = Telemetry.null) q =
           ("cancelled", Telemetry.Bool cancelled);
           ("failed", Telemetry.Bool (failed <> None));
         ];
-    reports.(k) <-
-      Some
-        { member_name = name; samples; elapsed = finished -. started; cancelled; failed; hardware }
+    { member_name = name; samples; elapsed = finished -. started; cancelled; failed; hardware }
   in
   (* Cap concurrency at [jobs] by folding members into that many
      sequential chains; the pool schedules the chains over idle workers
-     plus this domain. *)
-  let chains =
-    List.map
-      (fun (lo, size) () ->
-        for k = lo to lo + size - 1 do
-          run_one k
-        done)
-      (Parallel.partition n jobs)
-  in
-  Parallel.Pool.run_list ~telemetry (Parallel.Pool.global ()) chains;
-  (* [run_one] is total, so every slot should be filled; if a worker job
-     nevertheless died before reaching member [k] (a pool-level failure,
-     not a member exception), the member surfaces as a typed per-member
-     failure rather than aborting the whole race. *)
-  let reports =
-    Array.to_list reports
-    |> List.mapi (fun k -> function
-         | Some r -> r
-         | None ->
-           Telemetry.count telemetry "portfolio.member_failed" 1;
-           {
-             member_name = members.(k).Sampler.name;
-             samples = Sampleset.empty;
-             elapsed = 0.;
-             cancelled = false;
-             failed = Some "member produced no result (worker job aborted)";
-             hardware = None;
-           })
-  in
+     plus this domain. Each chain fills its own array of reports;
+     [run_list] re-raises before an unfilled one could be read. *)
+  let chains = Array.of_list (Parallel.partition n jobs) in
+  let out = Array.make (Array.length chains) [||] in
+  Parallel.Pool.run_list ~telemetry (Parallel.Pool.global ())
+    (List.init (Array.length chains) (fun c () ->
+         let lo, size = chains.(c) in
+         out.(c) <- Array.init size (fun i -> run_one (lo + i))));
+  let reports = List.concat_map Array.to_list (Array.to_list out) in
   let merged =
     List.fold_left (fun acc r -> Sampleset.merge acc r.samples) Sampleset.empty reports
   in

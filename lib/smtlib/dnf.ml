@@ -45,13 +45,13 @@ let expand ?(max_cubes = 64) assertions =
         else Ok combined)
       (Ok [ [] ]) assertions
   in
-  (* syntactic dedup keeps repeated disjuncts from multiplying work *)
+  (* syntactic dedup keeps repeated disjuncts from multiplying work; the
+     keys are terms, not their printed form, so no query formats an atom *)
   let seen = Hashtbl.create 16 in
   let deduped =
     List.filter
       (fun cube ->
-        let key = List.map (fun l -> (l.positive, Ast.term_to_string l.atom)) cube in
-        let key = List.sort compare key in
+        let key = List.sort compare (List.map (fun l -> (l.positive, l.atom)) cube) in
         if Hashtbl.mem seen key then false
         else begin
           Hashtbl.replace seen key ();

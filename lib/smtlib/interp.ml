@@ -1,6 +1,7 @@
 module Constr = Qsmt_strtheory.Constr
 module Solver = Qsmt_strtheory.Solver
 module Absint = Qsmt_strtheory.Absint
+module Strsolver = Qsmt_classical.Strsolver
 module Telemetry = Qsmt_util.Telemetry
 
 let ( let* ) = Result.bind
@@ -28,7 +29,7 @@ let value_of_constr_value = function
   | Constr.Pos (Some i) -> Some (Eval.V_int i)
   | Constr.Pos None -> None
 
-let annealing_backend ?params ?sampler ?absint ?(telemetry = Telemetry.null) () =
+let annealing_backend ?sampler ?absint ?(telemetry = Telemetry.null) () =
   (* One incremental session per backend: every query runs the staged
      pipeline ([Stage.run]) that [Solver.solve] / [Joint.solve] run, so
      a cold first query behaves exactly like them and traces the same
@@ -38,7 +39,7 @@ let annealing_backend ?params ?sampler ?absint ?(telemetry = Telemetry.null) () 
      abstract interpreter on every query, so push/pop deltas get fresh
      static verdicts. The check-sat sites below take the one GC probe
      per answered query. *)
-  let session = Qsmt_strtheory.Incremental.create ?params ?sampler ?absint ~telemetry () in
+  let session = Qsmt_strtheory.Incremental.create ?sampler ?absint ~telemetry () in
   (* A sampler is incomplete: it can certify sat (the decode verifies)
      but never unsat, so sampling failure is `Unknown. Only a static
      refutation is a proof (the abstract interpreter's transfer
@@ -61,11 +62,64 @@ let annealing_backend ?params ?sampler ?absint ?(telemetry = Telemetry.null) () 
         | Error _ -> `Unknown);
   }
 
-let create ?params ?sampler ?backend ?absint ?(telemetry = Telemetry.null) () =
+(* CDCL bit-blasting: complete on the supported fragment, so unlike the
+   samplers it may answer `Unsat. One incremental session per backend:
+   repeated queries across a push/pop script hit the outcome cache, and
+   conjunctions share a single assumption-based CDCL instance that keeps
+   its learned clauses. *)
+let classical_backend () =
+  let session = Strsolver.Session.create () in
+  let solve_one constr =
+    let o = Strsolver.Session.solve session constr in
+    match o.Strsolver.result with
+    | `Unsat -> `Unsat
+    | `Sat when o.Strsolver.satisfied -> begin
+      match Option.bind o.Strsolver.value value_of_constr_value with
+      | Some v -> `Value v
+      | None -> `Unknown
+    end
+    | `Sat | `Unknown -> `Unknown
+  in
+  {
+    backend_name = "classical";
+    solve_generate = solve_one;
+    solve_joint =
+      (fun conjuncts ->
+        match Strsolver.Session.solve_joint session conjuncts with
+        | Ok (`Sat s, _) -> `Value (Eval.V_str s)
+        | Ok (`Unsat, _) -> `Unsat (* exact: a real refutation *)
+        | Ok (`Unknown, _) -> `Unknown
+        | Error _ ->
+          (* not joint-encodable (an Includes conjunct, length mismatch):
+             solve each conjunct independently; any refuted conjunct
+             refutes the conjunction, and any conjunct's model that
+             verifies against all conjuncts is a model of the
+             conjunction. Anything else stays unknown. *)
+          let outcomes = List.map (Strsolver.Session.solve session) conjuncts in
+          if List.exists (fun o -> o.Strsolver.result = `Unsat) outcomes then `Unsat
+          else begin
+            let candidate_ok v = List.for_all (fun c -> Constr.verify c v) conjuncts in
+            let witness =
+              List.find_map
+                (fun o ->
+                  match (o.Strsolver.result, o.Strsolver.value) with
+                  | `Sat, Some (Constr.Str _ as v) when o.Strsolver.satisfied && candidate_ok v
+                    ->
+                    Some v
+                  | _ -> None)
+                outcomes
+            in
+            match Option.bind witness value_of_constr_value with
+            | Some v -> `Value v
+            | None -> `Unknown
+          end);
+  }
+
+let create ?sampler ?backend ?absint ?(telemetry = Telemetry.null) () =
   let backend =
     match backend with
     | Some b -> b
-    | None -> annealing_backend ?params ?sampler ?absint ~telemetry ()
+    | None -> annealing_backend ?sampler ?absint ~telemetry ()
   in
   {
     backend;
@@ -287,10 +341,10 @@ let exec_all st commands =
 let to_result = function lines, None -> Ok lines | _, Some msg -> Error msg
 let run_script st commands = to_result (exec_all st commands)
 
-let run_string_partial ?params ?sampler ?backend ?absint ?(telemetry = Telemetry.null) source =
+let run_string_partial ?sampler ?backend ?absint ?(telemetry = Telemetry.null) source =
   match Telemetry.with_span telemetry "smtlib.parse" (fun _ -> Parser.parse_script source) with
   | Error msg -> ([], Some msg)
-  | Ok commands -> exec_all (create ?params ?sampler ?backend ?absint ~telemetry ()) commands
+  | Ok commands -> exec_all (create ?sampler ?backend ?absint ~telemetry ()) commands
 
-let run_string ?params ?sampler ?backend ?absint ?telemetry source =
-  to_result (run_string_partial ?params ?sampler ?backend ?absint ?telemetry source)
+let run_string ?sampler ?backend ?absint ?telemetry source =
+  to_result (run_string_partial ?sampler ?backend ?absint ?telemetry source)

@@ -27,12 +27,11 @@ type backend = {
       (** decide a conjunction of constraints on one string variable *)
 }
 (** Theory solver plugged under the boolean (DNF) layer. The default is
-    {!annealing_backend}; the CLI injects a classical CDCL bit-blasting
-    backend for [--sampler classical] — which is why this is a record
-    and not a hard dependency on either solver family. *)
+    {!annealing_backend}; the CLI injects {!classical_backend} for
+    [--sampler classical], and a test or benchmark may plug in its own
+    record. *)
 
 val annealing_backend :
-  ?params:Qsmt_strtheory.Params.t ->
   ?sampler:Qsmt_anneal.Sampler.t ->
   ?absint:Qsmt_strtheory.Absint.gate ->
   ?telemetry:Qsmt_util.Telemetry.t ->
@@ -47,16 +46,23 @@ val annealing_backend :
     is handed to the backend's {!Qsmt_strtheory.Incremental} session, so
     every query emits the {!Qsmt_strtheory.Stage.run} span tree. *)
 
+val classical_backend : unit -> backend
+(** CDCL bit-blasting ({!Qsmt_classical.Strsolver.Session}): complete on
+    the supported fragment, so its [`Unsat] is a refutation. A
+    conjunction the session cannot encode jointly (an [Includes]
+    conjunct, a length mismatch) is solved conjunct by conjunct: one
+    refuted conjunct refutes it, and a conjunct's model that verifies
+    against every conjunct answers it; anything else is [`Unknown]. *)
+
 val create :
-  ?params:Qsmt_strtheory.Params.t ->
   ?sampler:Qsmt_anneal.Sampler.t ->
   ?backend:backend ->
   ?absint:Qsmt_strtheory.Absint.gate ->
   ?telemetry:Qsmt_util.Telemetry.t ->
   unit ->
   state
-(** [backend] wins when given; otherwise [annealing_backend ?params
-    ?sampler ~telemetry ()]. The state also uses [telemetry] itself: an
+(** [backend] wins when given; otherwise [annealing_backend ?sampler
+    ?absint ~telemetry ()]. The state also uses [telemetry] itself: an
     [smtlib.assertions] counter and one [smtlib.check_sat] span (with an
     [smtlib.verdict] event) per [check-sat]. *)
 
@@ -70,7 +76,6 @@ val run_script : state -> Ast.command list -> (string list, string) result
     Stops at the first error. *)
 
 val run_string :
-  ?params:Qsmt_strtheory.Params.t ->
   ?sampler:Qsmt_anneal.Sampler.t ->
   ?backend:backend ->
   ?absint:Qsmt_strtheory.Absint.gate ->
@@ -82,7 +87,6 @@ val run_string :
     span. *)
 
 val run_string_partial :
-  ?params:Qsmt_strtheory.Params.t ->
   ?sampler:Qsmt_anneal.Sampler.t ->
   ?backend:backend ->
   ?absint:Qsmt_strtheory.Absint.gate ->

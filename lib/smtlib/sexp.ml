@@ -180,8 +180,8 @@ let parse_one input =
   | Ok [] -> Error "empty input"
   | Ok _ -> Error "expected exactly one expression"
 
-(* one Format piece, as cheap as [%S]: [Ast.pp_term] keys [Dnf]'s cube
-   dedup, so this runs on every query *)
+(* one Format piece, as cheap as [%S]: every (get-model) prints its
+   string values through it *)
 let pp_string ppf s = Format.pp_print_string ppf (Qsmt_strtheory.Smtgen.str_lit s)
 
 let rec pp ppf = function

@@ -19,11 +19,10 @@ type t = {
   mutable last_sat : string option;
 }
 
-let create ?params ?sampler ?(lint = `Off) ?lint_config ?(absint = `On)
-    ?(telemetry = Telemetry.null) () =
+let create ?sampler ?(lint = `Off) ?(absint = `On) ?(telemetry = Telemetry.null) () =
   let sampler = match sampler with Some s -> s | None -> Solver.default_sampler ~seed:0 in
   {
-    config = { Stage.params; sampler; lint; lint_config; absint; telemetry };
+    config = { Stage.params = None; sampler; lint; absint; telemetry };
     encode_cache = Hashtbl.create 16;
     warm = None;
     last_sat = None;

@@ -31,10 +31,8 @@ type t
     interpreter. *)
 
 val create :
-  ?params:Params.t ->
   ?sampler:Qsmt_anneal.Sampler.t ->
   ?lint:Lint.gate ->
-  ?lint_config:Lint.config ->
   ?absint:Absint.gate ->
   ?telemetry:Qsmt_util.Telemetry.t ->
   unit ->

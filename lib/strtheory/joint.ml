@@ -29,15 +29,15 @@ let common_length cs =
         (Ok len) rest
   end
 
-let encode ?params cs =
+let encode cs =
   let* length = common_length cs in
-  let parts = List.map (fun c -> Compile.to_qubo ?params c) cs in
+  let parts = List.map (fun c -> Compile.to_qubo c) cs in
   Ok (Stage.merge_frozen ~num_vars:(7 * length) parts, length)
 
-let solve ?params ?sampler ?(absint = `On) ?(telemetry = Qsmt_util.Telemetry.null) cs =
+let solve ?sampler ?(absint = `On) ?(telemetry = Qsmt_util.Telemetry.null) cs =
   let sampler =
     match sampler with Some s -> s | None -> Solver.default_sampler ~seed:0
   in
   let* _length = common_length cs in
-  let config = { Stage.params; sampler; lint = `Off; lint_config = None; absint; telemetry } in
+  let config = { Stage.params = None; sampler; lint = `Off; absint; telemetry } in
   Stage.run ~probe:true config cs

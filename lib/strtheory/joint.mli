@@ -25,7 +25,7 @@ val common_length : Constr.t list -> (int, string) result
     isn't one (empty list, an {!Constr.Includes}, disagreeing lengths,
     a failed validation). *)
 
-val encode : ?params:Params.t -> Constr.t list -> (Qsmt_qubo.Qubo.t * int, string) result
+val encode : Constr.t list -> (Qsmt_qubo.Qubo.t * int, string) result
 (** [encode cs] merges the encodings through {!Stage.merge_frozen} — the
     fold every multi-conjunct {!Stage.run} uses, so a session's merge of
     cached parts is bit-exact identical to this one. The result's second
@@ -34,7 +34,6 @@ val encode : ?params:Params.t -> Constr.t list -> (Qsmt_qubo.Qubo.t * int, strin
     fails its own validation. *)
 
 val solve :
-  ?params:Params.t ->
   ?sampler:Qsmt_anneal.Sampler.t ->
   ?absint:Absint.gate ->
   ?telemetry:Qsmt_util.Telemetry.t ->

@@ -272,11 +272,11 @@ type gate = [ `Off | `Error | `Warning ]
 
 exception Rejected of Constr.t * finding list
 
-let gate_check ?(config = default_config) ?(telemetry = Telemetry.null) ~gate constr q =
+let gate_check ?(telemetry = Telemetry.null) ~gate constr q =
   match gate with
   | `Off -> ()
   | (`Error | `Warning) as level ->
-    let findings = lint_compiled ~config ~telemetry constr q in
+    let findings = lint_compiled ~telemetry constr q in
     let threshold =
       match level with `Error -> Analyze.severity_rank Analyze.Error | `Warning -> Analyze.severity_rank Analyze.Warning
     in

@@ -95,12 +95,12 @@ exception Rejected of Constr.t * finding list
     ones) so callers can print the full report. *)
 
 val gate_check :
-  ?config:config ->
   ?telemetry:Qsmt_util.Telemetry.t ->
   gate:gate ->
   Constr.t ->
   Qsmt_qubo.Qubo.t ->
   unit
-(** No-op at [`Off]; otherwise runs {!lint_compiled} and raises
+(** No-op at [`Off]; otherwise runs {!lint_compiled} with
+    {!default_config} and raises
     {!Rejected} when any finding reaches the gate severity. Bumps a
     [lint.rejected] counter on rejection. *)

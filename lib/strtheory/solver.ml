@@ -17,20 +17,21 @@ let default_sampler ~seed =
 
 let lift_samples = Stage.lift_samples
 
-let solve ?params ?sampler ?(lint = `Off) ?lint_config ?(absint = `On)
+let solve ?params ?sampler ?(lint = `Off) ?(absint = `On)
     ?(telemetry = Qsmt_util.Telemetry.null) constr =
   let sampler = match sampler with Some s -> s | None -> default_sampler ~seed:0 in
   match
-    Stage.run ~probe:true { Stage.params; sampler; lint; lint_config; absint; telemetry } [ constr ]
+    Stage.run ~probe:true { Stage.params; sampler; lint; absint; telemetry } [ constr ]
   with
   | Ok a -> a
   | Error msg -> invalid_arg ("Solver: " ^ msg)
 
-let solve_batch ?params ?sampler ?lint ?lint_config ?absint ?telemetry ?(jobs = 0) constrs =
+let solve_batch ?sampler ?(jobs = 0) constrs =
   let jobs = if jobs > 0 then jobs else Parallel.recommended_domains () in
   let constrs = Array.of_list constrs in
-  Array.to_list (Parallel.init_array ?telemetry ~domains:jobs (Array.length constrs) (fun i ->
-      solve ?params ?sampler ?lint ?lint_config ?absint ?telemetry constrs.(i)))
+  Array.to_list
+    (Parallel.init_array ~domains:jobs (Array.length constrs) (fun i ->
+         solve ?sampler constrs.(i)))
 
 type pipeline_error = {
   stage_index : int;
@@ -38,8 +39,8 @@ type pipeline_error = {
   completed : outcome list;
 }
 
-let solve_pipeline ?params ?sampler ?lint ?lint_config ?absint ?telemetry pipeline =
-  let first = solve ?params ?sampler ?lint ?lint_config ?absint ?telemetry pipeline.Pipeline.initial in
+let solve_pipeline ?sampler pipeline =
+  let first = solve ?sampler pipeline.Pipeline.initial in
   (* Stages transform a string; a positional decode (only the initial
      constraint can produce one, via Includes) has no string to feed
      forward, so the run stops with a typed error instead of silently
@@ -48,7 +49,7 @@ let solve_pipeline ?params ?sampler ?lint ?lint_config ?absint ?telemetry pipeli
     | [] -> Ok (List.rev acc)
     | stage :: rest ->
       let constr = Pipeline.constraint_for stage ~input in
-      let outcome = solve ?params ?sampler ?lint ?lint_config ?absint ?telemetry constr in
+      let outcome = solve ?sampler constr in
       let acc = outcome :: acc in
       (match outcome.value with
       | Constr.Str s -> go (index + 1) s acc rest

@@ -44,7 +44,6 @@ val solve :
   ?params:Params.t ->
   ?sampler:Qsmt_anneal.Sampler.t ->
   ?lint:Lint.gate ->
-  ?lint_config:Lint.config ->
   ?absint:Absint.gate ->
   ?telemetry:Qsmt_util.Telemetry.t ->
   Constr.t ->
@@ -57,8 +56,8 @@ val solve :
     [lint] (default [`Off]) runs the static linter between encoding and
     sampling and raises {!Lint.Rejected} when any finding reaches the
     gate severity — no annealing time is spent on an encoding the linter
-    can already prove broken. [lint_config] tunes the checks. It runs
-    inside the [solve] span as a [lint] child.
+    can already prove broken ({!Lint.default_config}). It runs inside
+    the [solve] span as a [lint] child.
 
     Passes the constraint verifier down to the sampler, so a portfolio
     stops at its first satisfying read. [telemetry] gets the
@@ -69,12 +68,7 @@ val solve :
     identical with or without it. *)
 
 val solve_batch :
-  ?params:Params.t ->
   ?sampler:Qsmt_anneal.Sampler.t ->
-  ?lint:Lint.gate ->
-  ?lint_config:Lint.config ->
-  ?absint:Absint.gate ->
-  ?telemetry:Qsmt_util.Telemetry.t ->
   ?jobs:int ->
   Constr.t list ->
   outcome list
@@ -98,12 +92,7 @@ type pipeline_error = {
     forward — which is what earlier revisions did. *)
 
 val solve_pipeline :
-  ?params:Params.t ->
   ?sampler:Qsmt_anneal.Sampler.t ->
-  ?lint:Lint.gate ->
-  ?lint_config:Lint.config ->
-  ?absint:Absint.gate ->
-  ?telemetry:Qsmt_util.Telemetry.t ->
   Pipeline.t ->
   (outcome list, pipeline_error) result
 (** Runs the initial constraint, then each stage on the previous decoded

@@ -8,7 +8,6 @@ type config = {
   params : Params.t option;
   sampler : Qsmt_anneal.Sampler.t;
   lint : Lint.gate;
-  lint_config : Lint.config option;
   absint : Absint.gate;
   telemetry : Telemetry.t;
 }
@@ -165,7 +164,7 @@ let anneal_stages ?cache ?model ?warm cfg span cs analysis =
     Telemetry.with_span tel ~parent:span "lint" (fun _ ->
         try
           List.iter
-            (fun (c, q) -> Lint.gate_check ?config:cfg.lint_config ~telemetry:tel ~gate c q)
+            (fun (c, q) -> Lint.gate_check ~telemetry:tel ~gate c q)
             (List.rev !fresh)
         with Lint.Rejected _ as e ->
           Option.iter (fun h -> List.iter (fun (c, _) -> Hashtbl.remove h c) !fresh) cache;

@@ -29,7 +29,6 @@ type config = {
   params : Params.t option;
   sampler : Qsmt_anneal.Sampler.t;
   lint : Lint.gate;
-  lint_config : Lint.config option;
   absint : Absint.gate;
   telemetry : Qsmt_util.Telemetry.t;
 }

@@ -17,7 +17,7 @@ module Pool = struct
      variable until a job is assigned, runs it, clears the slot, signals
      completion, and goes back to sleep — domains are spawned once per
      pool, not once per call. Jobs handed to [assign] must not raise;
-     [run_list] wraps user jobs so exceptions travel back to the caller. *)
+     [fork_join] wraps user jobs so exceptions travel back to the caller. *)
   type worker = {
     mutex : Mutex.t;
     cond : Condition.t;
@@ -42,7 +42,7 @@ module Pool = struct
     else begin
       let job = Option.get w.job in
       Mutex.unlock w.mutex;
-      (* Defensive catch-all: [run_list] wraps user jobs so they report
+      (* Defensive catch-all: [fork_join] wraps user jobs so they report
          exceptions through their own channel, but a job that raises
          anyway must not kill the worker domain — that would strand the
          slot forever (its index is back in [free], yet nobody would ever
@@ -102,129 +102,107 @@ module Pool = struct
     done;
     Mutex.unlock w.mutex
 
-  (* First exception wins; the remaining jobs still run (they may hold
+  (* The one fork-join loop. The caller (participant 0) and each acquired
+     worker (participants 1..k) drain a shared job index, so a participant
+     that finishes early takes the next pending job. Workers are acquired
+     only for more than one job, so a single job never looks the pool up.
+     First exception wins; the remaining jobs still run (they may hold
      partial results the caller owns). The exception is captured together
      with its backtrace at the raise site — possibly on a worker domain —
-     and re-raised on the caller with that backtrace attached, so a
-     raising job reads like a raising function call, never a process
-     abort. Every acquired worker is waited on and released whether or
-     not jobs raised, so a raising job leaves the pool fully reusable. *)
-  let run_list_plain t jobs =
-    match jobs with
-    | [] -> ()
-    | [ job ] -> job ()
-    | jobs ->
-      let jobs = Array.of_list jobs in
-      let n = Array.length jobs in
-      let next = Atomic.make 0 in
-      let error = Atomic.make None in
-      let drain () =
-        let rec go () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n then begin
-            (try jobs.(i) ()
-             with e ->
-               let bt = Printexc.get_raw_backtrace () in
-               ignore (Atomic.compare_and_set error None (Some (e, bt))));
-            go ()
-          end
-        in
-        go ()
-      in
-      let ids = if t.alive then try_acquire t (n - 1) else [] in
-      List.iter (fun id -> assign t id drain) ids;
-      drain ();
-      List.iter
-        (fun id ->
-          wait t id;
-          release t id)
-        ids;
-      (match Atomic.get error with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ())
+     and re-raised on the caller with that backtrace attached, so a raising
+     job reads like a raising function call, never a process abort. Every
+     acquired worker is waited on and released whether or not jobs raised,
+     so a raising job leaves the pool fully reusable.
 
-  (* The instrumented twin: same scheduling (shared work index drained
-     by the caller plus every acquired worker), plus pool.* vocabulary —
-     per-job submit→start latency and queue depth, per-participant
-     busy/idle split, and an overall utilization gauge. Participants are
-     numbered 0 (the caller) .. k (acquired workers); each writes only
-     its own slot of the local accumulators, and [wait]'s mutex
-     round-trip publishes worker slots to the caller before they are
-     read. Jobs are coarse (blocks of whole annealing reads), so the
-     per-job telemetry locking is noise. *)
-  let run_list_traced tm t jobs =
-    match jobs with
-    | [] -> ()
-    | jobs ->
-      let submit = Mclock.now () in
-      let jobs = Array.of_list jobs in
-      let n = Array.length jobs in
-      Telemetry.count tm "pool.jobs" n;
-      let next = Atomic.make 0 in
-      let started = Atomic.make 0 in
-      let error = Atomic.make None in
-      let ids = if t.alive then try_acquire t (n - 1) else [] in
-      let parts = 1 + List.length ids in
-      let busy = Array.make parts 0. in
-      let ran = Array.make parts 0 in
-      let drain who () =
-        let t0 = Mclock.now () in
-        let rec go () =
-          let i = Atomic.fetch_and_add next 1 in
-          if i < n then begin
-            let tj = Mclock.now () in
-            Telemetry.observe tm "pool.submit_latency_s" (tj -. submit);
-            let pending = n - Atomic.fetch_and_add started 1 - 1 in
-            Telemetry.gauge tm "pool.queue_depth" (float_of_int (max 0 pending));
-            Telemetry.observe tm "pool.queue_depth" (float_of_int (max 0 pending));
-            ran.(who) <- ran.(who) + 1;
-            (try jobs.(i) ()
-             with e ->
-               let bt = Printexc.get_raw_backtrace () in
-               ignore (Atomic.compare_and_set error None (Some (e, bt))));
-            go ()
-          end
-        in
-        go ();
-        busy.(who) <- Mclock.now () -. t0
+     The pool.* probes run only on an enabled handle: per-job submit→start
+     latency and queue depth, one pool.worker event per participant, the
+     utilization and participants gauges and, with [~stats], a closing
+     pool.stats event. The caller is busy from submission and the wall
+     ends when the last participant finishes, so a caller alone reports
+     utilization 1 and no idle time. Each participant writes only its own
+     slots, and [wait]'s mutex round-trip publishes a worker's slots to
+     the caller before they are read. Jobs are coarse (blocks of whole
+     annealing reads), so the per-job telemetry locking is noise. *)
+  let fork_join ~stats tm pool jobs =
+    let tracked = Telemetry.enabled tm in
+    let submit = if tracked then Mclock.now () else 0. in
+    let jobs = Array.of_list jobs in
+    let n = Array.length jobs in
+    if tracked then Telemetry.count tm "pool.jobs" n;
+    let acquired =
+      if n = 1 then []
+      else
+        let t = pool () in
+        if t.alive then List.map (fun id -> (t, id)) (try_acquire t (n - 1)) else []
+    in
+    let parts = 1 + List.length acquired in
+    let start = Array.make parts submit and finish = Array.make parts submit in
+    let ran = Array.make parts 0 in
+    let next = Atomic.make 0 in
+    let error = Atomic.make None in
+    let drain who () =
+      if tracked && who > 0 then start.(who) <- Mclock.now ();
+      let rec go () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          if tracked then begin
+            Telemetry.observe tm "pool.submit_latency_s" (Mclock.now () -. submit);
+            let pending = float_of_int (n - i - 1) in
+            Telemetry.gauge tm "pool.queue_depth" pending;
+            Telemetry.observe tm "pool.queue_depth" pending;
+            ran.(who) <- ran.(who) + 1
+          end;
+          (try jobs.(i) ()
+           with e ->
+             let bt = Printexc.get_raw_backtrace () in
+             ignore (Atomic.compare_and_set error None (Some (e, bt))));
+          go ()
+        end
       in
-      List.iteri (fun k id -> assign t id (drain (k + 1))) ids;
-      drain 0 ();
-      List.iter
-        (fun id ->
-          wait t id;
-          release t id)
-        ids;
-      let wall = Mclock.now () -. submit in
+      go ();
+      if tracked then finish.(who) <- Mclock.now ()
+    in
+    List.iteri (fun k (t, id) -> assign t id (drain (k + 1))) acquired;
+    drain 0 ();
+    List.iter
+      (fun (t, id) ->
+        wait t id;
+        release t id)
+      acquired;
+    if tracked then begin
+      let wall = Array.fold_left Float.max submit finish -. submit in
+      let busy_total = ref 0. in
       for who = 0 to parts - 1 do
-        Telemetry.observe tm "pool.worker_busy_s" busy.(who);
+        let busy = finish.(who) -. start.(who) in
+        busy_total := !busy_total +. busy;
+        Telemetry.observe tm "pool.worker_busy_s" busy;
         Telemetry.emit tm "pool.worker"
           [
             ("worker", Telemetry.Int who);
             ("jobs", Telemetry.Int ran.(who));
-            ("busy_s", Telemetry.Float busy.(who));
-            ("idle_s", Telemetry.Float (Float.max 0. (wall -. busy.(who))));
+            ("busy_s", Telemetry.Float busy);
+            ("idle_s", Telemetry.Float (Float.max 0. (wall -. busy)));
           ]
       done;
-      let busy_total = Array.fold_left ( +. ) 0. busy in
-      let util = if wall > 0. then busy_total /. (wall *. float_of_int parts) else 1. in
+      let util = if wall > 0. then !busy_total /. (wall *. float_of_int parts) else 1. in
       Telemetry.gauge tm "pool.utilization" util;
       Telemetry.gauge tm "pool.participants" (float_of_int parts);
-      Telemetry.emit tm "pool.stats"
-        [
-          ("jobs", Telemetry.Int n);
-          ("participants", Telemetry.Int parts);
-          ("wall_s", Telemetry.Float wall);
-          ("busy_s", Telemetry.Float busy_total);
-          ("utilization", Telemetry.Float util);
-        ];
-      (match Atomic.get error with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ())
+      if stats then
+        Telemetry.emit tm "pool.stats"
+          [
+            ("jobs", Telemetry.Int n);
+            ("participants", Telemetry.Int parts);
+            ("wall_s", Telemetry.Float wall);
+            ("busy_s", Telemetry.Float !busy_total);
+            ("utilization", Telemetry.Float util);
+          ]
+    end;
+    match Atomic.get error with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
 
   let run_list ?(telemetry = Telemetry.null) t jobs =
-    if Telemetry.enabled telemetry then run_list_traced telemetry t jobs
-    else run_list_plain t jobs
+    if not (List.is_empty jobs) then fork_join ~stats:true telemetry (fun () -> t) jobs
 
   let shutdown t =
     if t.alive then begin
@@ -264,47 +242,21 @@ end
 
 let init_array ?(telemetry = Telemetry.null) ?(domains = 1) n f =
   if n = 0 then [||]
-  else if domains <= 1 || n = 1 then begin
-    (* Sequential fast path: no pool, no Option boxing. When tracked it
-       still reports through the pool.* vocabulary as one inline job run
-       by the caller, so every solve exposes scheduling metrics whether
-       or not it parallelised. *)
-    if Telemetry.enabled telemetry then begin
-      let t0 = Mclock.now () in
-      Telemetry.count telemetry "pool.jobs" 1;
-      Telemetry.observe telemetry "pool.submit_latency_s" 0.;
-      Telemetry.gauge telemetry "pool.queue_depth" 0.;
-      Telemetry.observe telemetry "pool.queue_depth" 0.;
-      let r = Array.init n f in
-      let busy = Mclock.now () -. t0 in
-      Telemetry.observe telemetry "pool.worker_busy_s" busy;
-      Telemetry.emit telemetry "pool.worker"
-        [
-          ("worker", Telemetry.Int 0);
-          ("jobs", Telemetry.Int 1);
-          ("busy_s", Telemetry.Float busy);
-          ("idle_s", Telemetry.Float 0.);
-        ];
-      Telemetry.gauge telemetry "pool.utilization" 1.;
-      Telemetry.gauge telemetry "pool.participants" 1.;
-      r
-    end
-    else Array.init n f
-  end
   else begin
-    let results = Array.make n None in
-    let work (lo, size) () =
-      for i = lo to lo + size - 1 do
-        results.(i) <- Some (f i)
-      done
+    (* Each block fills its own array. A block is left empty only by a
+       raising job, and the loop re-raises before the blocks are read.
+       One block (domains <= 1 or n = 1) runs on the caller alone: the
+       shared pool is never looked up, so a process that never asks for
+       parallelism spawns no worker domain, and no pool.stats closes it. *)
+    let blocks = Array.of_list (partition n domains) in
+    let out = Array.make (Array.length blocks) [||] in
+    let fill b () =
+      let lo, size = blocks.(b) in
+      out.(b) <- Array.init size (fun i -> f (lo + i))
     in
-    Pool.run_list ~telemetry (Pool.global ()) (List.map work (partition n domains));
-    (* run_list re-raises the first job exception, so a hole here means a
-       scheduling bug, not a user error — report it as such rather than
-       aborting the process with an assertion. *)
-    Array.map
-      (function
-        | Some v -> v
-        | None -> failwith "Parallel.init_array: a worker job produced no result")
-      results
+    Pool.fork_join
+      ~stats:(Array.length blocks > 1)
+      telemetry Pool.global
+      (List.init (Array.length blocks) fill);
+    Array.concat (Array.to_list out)
   end

@@ -10,7 +10,9 @@
     dominated wall-clock for short reads and made concurrent samplers
     (the portfolio) oversubscribe the machine. Callers pass [~domains:1]
     to run sequentially (the default), which is what tests use for full
-    determinism of shared-PRNG call sites. *)
+    determinism of shared-PRNG call sites. Pooled and sequential calls
+    run the same job loop; its [pool.*] probes are skipped when
+    telemetry is off. *)
 
 val recommended_domains : unit -> int
 (** Number of domains worth using on this machine:
@@ -44,23 +46,24 @@ module Pool : sig
   (** Number of worker domains in the pool. *)
 
   val run_list : ?telemetry:Telemetry.t -> t -> (unit -> unit) list -> unit
-  (** [run_list pool jobs] runs every job to completion, distributing them
-      over idle workers plus the calling domain via a shared work index
-      (a fast job's worker steals the next pending job). Returns when all
-      jobs have finished. If any job raises, the first exception is
-      re-raised in the caller — with the backtrace captured at the raise
-      site — after the remaining jobs complete; the raising job's worker
-      slot is released normally, so the pool stays fully reusable and no
-      exception ever escapes on a worker domain.
+  (** [run_list pool jobs] runs every job to completion in the module's
+      one fork-join loop: the calling domain and the idle workers it
+      acquires drain a shared job index (a fast participant takes the
+      next pending job). Returns when all jobs have finished. If any job
+      raises, the first exception is re-raised in the caller — with the
+      backtrace captured at the raise site — after the remaining jobs
+      complete; the raising job's worker slot is released normally, so
+      the pool stays fully reusable and no exception ever escapes on a
+      worker domain.
 
-      With an enabled [?telemetry] handle the call reports through the
-      [pool.*] vocabulary: a [pool.jobs] counter, [pool.submit_latency_s]
-      (submit→start) and [pool.queue_depth] histograms plus a
-      [pool.queue_depth] gauge, one [pool.worker] event per participant
-      (jobs run, busy and idle seconds — participant 0 is the calling
-      domain), a [pool.worker_busy_s] histogram, [pool.utilization] and
-      [pool.participants] gauges, and a closing [pool.stats] event. The
-      untracked path is byte-identical to previous revisions. *)
+      The [pool.*] probes run only on an enabled [?telemetry] handle: a
+      [pool.jobs] counter, [pool.submit_latency_s] (submit→start) and
+      [pool.queue_depth] histograms plus a [pool.queue_depth] gauge, one
+      [pool.worker] event per participant (jobs run, busy and idle
+      seconds — participant 0 is the calling domain, busy from
+      submission), a [pool.worker_busy_s] histogram, [pool.utilization]
+      and [pool.participants] gauges, and a closing [pool.stats] event.
+      With the null handle the loop reads no clock. *)
 
   val shutdown : t -> unit
   (** [shutdown pool] terminates and joins the worker domains. Only needed
@@ -70,10 +73,11 @@ end
 
 val init_array : ?telemetry:Telemetry.t -> ?domains:int -> int -> (int -> 'a) -> 'a array
 (** [init_array ~domains n f] is [Array.init n f], splitting the work
-    across up to [domains] blocks scheduled on the shared pool ([1] =
-    sequential, the default). [f] must be safe to run concurrently on
-    distinct indices. Preserves order. Exceptions raised by [f] are
-    re-raised in the caller. An enabled [?telemetry] handle records the
-    [pool.*] vocabulary of {!Pool.run_list}; the sequential path reports
-    as one inline job run by the caller (utilization 1), so tracked
-    solves always expose scheduling metrics. *)
+    into up to [domains] blocks ([1] = sequential, the default). [f] must
+    be safe to run concurrently on distinct indices. Preserves order.
+    Exceptions raised by [f] are re-raised in the caller. Several blocks
+    run through {!Pool.run_list} on the shared pool. One block runs in
+    the same loop on the caller alone, without looking up {!Pool.global}
+    (so no worker domain is spawned), and reports the same [pool.*]
+    vocabulary except the closing [pool.stats] event: one job, one
+    participant, utilization 1. *)

@@ -29,7 +29,6 @@ module Cnf = Qsmt_classical.Cnf
 module Cdcl = Qsmt_classical.Cdcl
 module Strsolver = Qsmt_classical.Strsolver
 module Interp = Qsmt_smtlib.Interp
-module Eval = Qsmt_smtlib.Eval
 
 let check = Alcotest.check
 
@@ -326,34 +325,6 @@ let test_session_joint () =
 (* ------------------------------------------------------------------ *)
 (* SMT-LIB: push/pop/check-sat-assuming verdict parity *)
 
-let classical_backend () =
-  let session = Strsolver.Session.create () in
-  let value_of = function
-    | Constr.Str s -> Some (Eval.V_str s)
-    | Constr.Pos (Some i) -> Some (Eval.V_int i)
-    | Constr.Pos None -> None
-  in
-  {
-    Interp.backend_name = "classical";
-    solve_generate =
-      (fun constr ->
-        let o = Strsolver.Session.solve session constr in
-        match o.Strsolver.result with
-        | `Unsat -> `Unsat
-        | `Sat when o.Strsolver.satisfied -> begin
-          match Option.bind o.Strsolver.value value_of with
-          | Some v -> `Value v
-          | None -> `Unknown
-        end
-        | `Sat | `Unknown -> `Unknown);
-    solve_joint =
-      (fun conjuncts ->
-        match Strsolver.Session.solve_joint session conjuncts with
-        | Ok (`Sat s, _) -> `Value (Eval.V_str s)
-        | Ok (`Unsat, _) -> `Unsat
-        | Ok (`Unknown, _) | Error _ -> `Unknown);
-  }
-
 let run ?backend source = Result.get_ok (Interp.run_string ?backend source)
 
 let incremental_script =
@@ -382,9 +353,11 @@ let test_smtlib_parity_annealing () =
 
 let test_smtlib_parity_classical () =
   (* fresh backend per flat script = true from-scratch solving *)
-  let scratch = List.concat_map (fun s -> run ~backend:(classical_backend ()) s) flat_scripts in
+  let scratch =
+    List.concat_map (fun s -> run ~backend:(Interp.classical_backend ()) s) flat_scripts
+  in
   check (Alcotest.list Alcotest.string) "incremental = from-scratch" scratch
-    (run ~backend:(classical_backend ()) incremental_script)
+    (run ~backend:(Interp.classical_backend ()) incremental_script)
 
 let test_smtlib_classical_unsat_pop () =
   let script =
@@ -400,7 +373,7 @@ let test_smtlib_classical_unsat_pop () =
 |}
   in
   check (Alcotest.list Alcotest.string) "unsat then sat" [ "unsat"; "sat" ]
-    (run ~backend:(classical_backend ()) script);
+    (run ~backend:(Interp.classical_backend ()) script);
   (* the annealing backend now proves the unsat case statically: the
      palindrome congruence makes positions 0 and 1 equal, and {a} meets
      {b} empty — no sampling, a real refutation *)
@@ -418,7 +391,7 @@ let test_smtlib_assumptions_scoped () =
 |}
   in
   check (Alcotest.list Alcotest.string) "assumption scoped" [ "unsat"; "sat" ]
-    (run ~backend:(classical_backend ()) script)
+    (run ~backend:(Interp.classical_backend ()) script)
 
 let () =
   Alcotest.run "qsmt_incremental"

@@ -455,6 +455,43 @@ let test_pool_instrumentation () =
     check Alcotest.bool "submit latency histogram" true
       (List.mem_assoc "pool.submit_latency_s" hists)
 
+(* The pool.* contract of the two entry points: a sequential init_array
+   is one job on the caller with no closing pool.stats event, and
+   run_list always closes with one, also on a worker-less pool. *)
+let pool_events t name = List.filter (fun e -> e.Telemetry.ev = name) (Telemetry.events t)
+
+let test_pool_contract () =
+  let module Parallel = Qsmt_util.Parallel in
+  let t = Telemetry.collector () in
+  check (Alcotest.array Alcotest.int) "values" [| 0; 2; 4 |]
+    (Parallel.init_array ~telemetry:t ~domains:1 3 (fun i -> 2 * i));
+  (match pool_events t "pool.worker" with
+  | [ e ] ->
+    check Alcotest.bool "worker 0, one job" true
+      (List.assoc_opt "worker" e.Telemetry.fields = Some (Telemetry.Int 0)
+      && List.assoc_opt "jobs" e.Telemetry.fields = Some (Telemetry.Int 1))
+  | es -> Alcotest.failf "expected one pool.worker event, got %d" (List.length es));
+  check Alcotest.int "no pool.stats" 0 (List.length (pool_events t "pool.stats"));
+  check Alcotest.(option int) "pool.jobs" (Some 1) (Telemetry.find_counter t "pool.jobs");
+  check
+    Alcotest.(option (float 0.))
+    "pool.participants" (Some 1.)
+    (List.assoc_opt "pool.participants" (Telemetry.gauges t));
+  check
+    Alcotest.(option (float 0.))
+    "caller alone is fully utilized" (Some 1.)
+    (List.assoc_opt "pool.utilization" (Telemetry.gauges t));
+  let t = Telemetry.collector () in
+  let pool = Parallel.Pool.create 0 in
+  Fun.protect
+    ~finally:(fun () -> Parallel.Pool.shutdown pool)
+    (fun () -> Parallel.Pool.run_list ~telemetry:t pool (List.init 3 (fun _ () -> ())));
+  match pool_events t "pool.stats" with
+  | [ e ] ->
+    check Alcotest.bool "participants 1" true
+      (List.assoc_opt "participants" e.Telemetry.fields = Some (Telemetry.Int 1))
+  | es -> Alcotest.failf "expected one pool.stats event, got %d" (List.length es)
+
 (* Runs a trace reader over the given lines. *)
 let read_lines reader lines =
   let path = Filename.temp_file "qsmt_val" ".jsonl" in
@@ -614,6 +651,7 @@ let () =
           Alcotest.test_case "snapshot + exposition" `Quick test_snapshot_and_exposition;
           Alcotest.test_case "snapshot from jsonl replay" `Quick test_snapshot_of_jsonl_roundtrip;
           Alcotest.test_case "pool instrumentation" `Quick test_pool_instrumentation;
+          Alcotest.test_case "pool.* contract" `Quick test_pool_contract;
           Alcotest.test_case "validator span balance" `Quick test_validator_span_balance;
           Alcotest.test_case "chrome export" `Quick test_chrome_export;
           Alcotest.test_case "replay of a cut trace" `Quick test_replay_cut_trace;
