@@ -362,7 +362,7 @@ let multispin_kernel_throughput ising =
       (fun rng ->
         let ms = Multispin.create ising (starts rng) in
         (ms, Multispin.draws rng))
-      (fun _ (ms, dr) -> ignore (Multispin.metropolis_sweep ms ~draws:dr ~beta))
+      (fun _ (ms, dr) -> ignore (Multispin.metropolis_sweep ms ~draws:dr ~betas ~sweep:0))
   in
   let rsweeps = float_of_int (packed_sweeps * replica_lanes) in
   (beta, rsweeps /. scalar_t, rsweeps /. packed_t)

@@ -128,11 +128,15 @@ let run ?(params = default) ?init ?verify ?(telemetry = Telemetry.null) q =
   in
   (* Cap concurrency at [jobs] by folding members into that many
      sequential chains; the pool schedules the chains over idle workers
-     plus this domain. Each chain fills its own array of reports;
-     [run_list] re-raises before an unfilled one could be read. *)
+     plus this domain. One chain runs on this domain alone, through a
+     pool of no workers: looking up the shared pool would spawn its
+     worker domains, and [run_list] still closes with [pool.stats]. Each
+     chain fills its own array of reports; [run_list] re-raises before an
+     unfilled one could be read. *)
   let chains = Array.of_list (Parallel.partition n jobs) in
   let out = Array.make (Array.length chains) [||] in
-  Parallel.Pool.run_list ~telemetry (Parallel.Pool.global ())
+  let pool = if Array.length chains > 1 then Parallel.Pool.global () else Parallel.Pool.create 0 in
+  Parallel.Pool.run_list ~telemetry pool
     (List.init (Array.length chains) (fun c () ->
          let lo, size = chains.(c) in
          out.(c) <- Array.init size (fun i -> run_one (lo + i))));

@@ -24,7 +24,9 @@ type params = {
   members : Sampler.t list;  (** raced samplers, in report order *)
   jobs : int;
       (** concurrent members; [<= 0] (default) means
-          {!Qsmt_util.Parallel.recommended_domains} *)
+          {!Qsmt_util.Parallel.recommended_domains}. With one chain
+          ([jobs = 1] or a single member) the race runs on the caller
+          and never starts the shared pool's worker domains. *)
   budget : float option;
       (** per-member wall-clock budget in seconds; [None] = unbounded *)
 }

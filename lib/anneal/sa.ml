@@ -135,14 +135,15 @@ let run_packed ?(params = default) ?(mode = Bucketed) ?init ?stop ?on_read
         let dr = Multispin.draws bulk_rng in
         let betas = Array.make lanes 0. in
         let deltas = Array.make lanes 0. in
+        let schedule_betas = schedule.Schedule.betas in
         let k = ref 0 in
         while !k < sweeps && not (stopped ()) do
-          let beta = Schedule.beta schedule !k in
           let accepted = ref 0 in
           (match mode with
-          | Bucketed -> accepted := Multispin.metropolis_sweep ms ~draws:dr ~beta
+          | Bucketed ->
+            accepted := Multispin.metropolis_sweep ms ~draws:dr ~betas:schedule_betas ~sweep:!k
           | Lockstep ->
-            Array.fill betas 0 lanes beta;
+            Array.fill betas 0 lanes schedule_betas.(!k);
             for i = 0 to n - 1 do
               Multispin.deltas ms i deltas;
               let mask = Multispin.accept_mask_lockstep ms ~rngs ~betas deltas in
@@ -157,7 +158,7 @@ let run_packed ?(params = default) ?(mode = Bucketed) ?init ?stop ?on_read
                 ("group", Telemetry.Int g);
                 ("lanes", Telemetry.Int lanes);
                 ("sweep", Telemetry.Int !k);
-                ("beta", Telemetry.Float beta);
+                ("beta", Telemetry.Float schedule_betas.(!k));
                 ("best_energy", Telemetry.Float (Multispin.energy ms (Multispin.best_lane ms)));
                 ( "acceptance",
                   Telemetry.Float (float_of_int !accepted /. float_of_int (n * lanes)) );

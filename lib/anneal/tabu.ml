@@ -23,12 +23,19 @@ let search ising ~rng ~iterations ~tenure ?init ?stop ?on_iter () =
   let best = ref (Bitvec.copy (Fields.spins fields)) in
   let best_energy = ref (Fields.energy fields) in
   let stopped () = match stop with Some f -> f () | None -> false in
+  (* Only spins in a term move. An idle spin's flip has delta 0 in every
+     state, so while one is not tabu it would win every scan that has no
+     negative move, and the search would walk idle bits instead of
+     taking a zero or uphill move out of a local minimum. With every
+     spin idle there is no move to make. *)
+  let active = Ising.active ising in
+  let m = Array.length active in
   (* tabu_until.(i): first iteration at which flipping i is allowed again *)
   let tabu_until = Array.make n 0 in
   (* Poll [stop] every 64 iterations: each iteration is already O(n), the
      check just has to stay off the inner loop. *)
   let cursor = ref 0 in
-  while !cursor < iterations && ((!cursor land 63) <> 0 || not (stopped ())) do
+  while m > 0 && !cursor < iterations && ((!cursor land 63) <> 0 || not (stopped ())) do
     let it = !cursor in
     (* Best admissible move: most negative delta among non-tabu flips,
        or any tabu flip that would beat the incumbent (aspiration). *)
@@ -36,7 +43,8 @@ let search ising ~rng ~iterations ~tenure ?init ?stop ?on_iter () =
     let chosen_tabu = ref false in
     (* constant during the scan; read once, since each read boxes *)
     let energy = Fields.energy fields in
-    for i = 0 to n - 1 do
+    for k = 0 to m - 1 do
+      let i = active.(k) in
       let delta = Fields.delta fields i in
       let is_tabu = tabu_until.(i) > it in
       let admissible = (not is_tabu) || energy +. delta < !best_energy -. 1e-12 in
@@ -49,7 +57,7 @@ let search ising ~rng ~iterations ~tenure ?init ?stop ?on_iter () =
     (* All moves tabu and none aspirates: fall back to a random kick so
        the search cannot stall. *)
     let kicked = !chosen < 0 in
-    let i = if kicked then Prng.int rng n else !chosen in
+    let i = if kicked then active.(Prng.int rng m) else !chosen in
     Fields.flip fields i;
     tabu_until.(i) <- it + 1 + tenure;
     if Fields.energy fields < !best_energy then begin

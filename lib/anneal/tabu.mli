@@ -4,7 +4,14 @@
     D-Wave's [TabuSampler]: best-improvement moves with a recency-based
     tabu list, aspiration (a tabu move is allowed if it beats the best
     energy seen), and random restarts. Often stronger than plain greedy
-    descent on frustrated landscapes, cheaper than a long anneal. *)
+    descent on frustrated landscapes, cheaper than a long anneal.
+
+    Moves and random kicks range over the variables that appear in a
+    QUBO term ({!Qsmt_qubo.Ising.active}); a variable in no term keeps
+    its start value, and a problem with no term makes no move. Such a
+    variable's flip costs nothing in every state, so offering it would
+    let it win every scan without a downhill move and stall the search
+    in the first local minimum. *)
 
 type params = {
   restarts : int;  (** independent searches (default 8) *)

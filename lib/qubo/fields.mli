@@ -24,23 +24,19 @@
     Floating-point drift: each accepted flip updates [energy] and the
     neighbor fields incrementally, so rounding error can accumulate over
     very long runs. {!refresh} recomputes both from scratch; {!drift}
-    measures the current energy error without mutating. Callers either
-    refresh on a fixed cadence ([?refresh_every]) or rely on the string
-    encodings' dyadic coefficients, for which every update is exact (see
+    measures the current energy error without mutating. The string
+    encodings' dyadic coefficients make every update exact (see
     DESIGN.md, "Incremental local-field kernel"). *)
 
 type t
 
-val create : ?refresh_every:int -> Ising.t -> Ising.spins -> t
+val create : Ising.t -> Ising.spins -> t
 (** [create ising spins] builds the tracked state in O(n + nnz). [spins]
     is {e adopted}, not copied: {!flip} mutates it in place and {!spins}
     returns it. Mutating it behind the kernel's back invalidates the
-    invariants (call {!refresh} if you must). [refresh_every], when
-    positive, recomputes from scratch after that many accepted flips;
-    [0] is the documented "never refresh" sentinel (the default) and the
-    only admissible non-positive value.
-    @raise Invalid_argument on spin-count mismatch or negative
-    [refresh_every]. *)
+    invariants (call {!refresh} if you must). The kernel never refreshes
+    on its own.
+    @raise Invalid_argument on spin-count mismatch. *)
 
 val problem : t -> Ising.t
 val num_spins : t -> int
@@ -68,19 +64,29 @@ val flip : t -> int -> unit
     updates the neighbors' fields. O(degree i). Allocates nothing. *)
 
 val metropolis_sweep : t -> rng:Qsmt_util.Prng.t -> betas:float array -> sweep:int -> int
-(** [metropolis_sweep t ~rng ~betas ~sweep] runs one Metropolis pass over
-    spins [0 .. n-1] in order at inverse temperature [betas.(sweep)] and
-    returns the number of accepted flips. Spin [i] flips when
-    [delta t i <= 0.], or else when a uniform from [rng] is
-    [< exp (-. beta *. delta t i)]; the uniform is drawn only for uphill
-    moves. Accepted flips go through {!flip}, so [refresh_every] applies.
-    The draws and decisions are exactly those of the loop [delta],
-    [Prng.float], [flip]; unlike that loop, this one allocates nothing:
-    β is read from the array in place (a [float] argument would be boxed
-    by every caller in another module), and an uphill [delta] equal to
-    the previous one reuses its [exp], which yields the same value. A
-    fixed β is [~betas:[| beta |] ~sweep:0]. The scalar twin of
-    {!Multispin.metropolis_sweep}, and scalar SA's inner loop.
+(** [metropolis_sweep t ~rng ~betas ~sweep] runs one Metropolis pass at
+    inverse temperature [betas.(sweep)] and returns the number of
+    accepted flips. Its draws, decisions and end state are exactly
+    those of the loop over spins [0 .. n-1] in order that flips spin [i]
+    (through {!flip}) when [delta t i <= 0.], or else when
+    [Prng.float rng < exp (-. beta *. delta t i)], drawing the uniform
+    only for uphill moves: the same spins, the same energy bits, the
+    same count and the same [rng] state.
+
+    It gets there in two passes. The first prices the spins that appear
+    in a term ({!Ising.active}), in ascending order, with the decision
+    above. The second flips every idle spin ({!Ising.idle}): its delta is
+    [+-0.] in every state, so the loop above accepts it without a draw,
+    and the flip changes no field and no energy. The rng's four state
+    words are read once at the start of the sweep, advanced inline for
+    each uphill draw (the {!Qsmt_util.Prng.bits53} step) and written
+    back once at the end, and accepted flips XOR the assignment's bytes
+    in place: nothing in the loop is a call into another module or a
+    boxed value. β is read from the array in place (a [float] argument
+    would be boxed by every caller in another module), and an uphill
+    delta equal to the previous one reuses its [exp], which yields the
+    same value. A fixed β is [~betas:[| beta |] ~sweep:0]. The scalar
+    twin of {!Multispin.metropolis_sweep}, and scalar SA's inner loop.
     @raise Invalid_argument if [sweep] is out of [betas]' bounds. *)
 
 val refresh : t -> unit

@@ -7,25 +7,36 @@ type t = {
   row_ptr : int array;
   col : int array;
   value : float array; (* J, both directions like Qubo's CSR *)
+  active : int array; (* spins with a coupler or a nonzero field, ascending *)
+  idle : int array; (* the rest, ascending *)
 }
 
 type spins = Bitvec.t
+
+let in_term degree h i = degree.(i) > 0 || h.(i) <> 0.
 
 let of_qubo q =
   let n = Qubo.num_vars q in
   (* x_i = (1 + s_i)/2:
        Q_ii x_i           -> Q_ii/2 s_i + Q_ii/2
        Q_ij x_i x_j       -> Q_ij/4 (s_i s_j + s_i + s_j + 1) *)
-  let h = Array.init n (fun i -> Qubo.linear q i /. 2.) in
-  let offset = ref (Qubo.offset q) in
-  Array.iter (fun hi -> offset := !offset +. hi) h;
+  let h = Array.make n 0. in
+  for i = 0 to n - 1 do
+    h.(i) <- Qubo.linear q i /. 2.
+  done;
+  (* One float array cell, not a float ref: the ref would be captured by
+     the closure below, and every store to it would box. *)
+  let offset = [| Qubo.offset q |] in
+  for i = 0 to n - 1 do
+    offset.(0) <- offset.(0) +. h.(i)
+  done;
   let couplers = ref [] in
   Qubo.iter_quadratic q (fun i j v ->
       let quarter = v /. 4. in
       couplers := (i, j, quarter) :: !couplers;
       h.(i) <- h.(i) +. quarter;
       h.(j) <- h.(j) +. quarter;
-      offset := !offset +. quarter);
+      offset.(0) <- offset.(0) +. quarter);
   let degree = Array.make n 0 in
   List.iter
     (fun (i, j, _) ->
@@ -49,7 +60,28 @@ let of_qubo q =
       value.(cursor.(j)) <- v;
       cursor.(j) <- cursor.(j) + 1)
     !couplers;
-  { n; i_offset = !offset; h; row_ptr; col; value }
+  (* An idle spin's field is +0. exactly (Qubo.freeze drops zero
+     coefficients) and the offset adds it, so where an idle spin exists
+     neither the offset nor any energy summed from it is -0.: adding
+     the idle spin's flip delta, +-0., leaves an energy's bits as they
+     are. *)
+  let n_active = ref 0 in
+  for i = 0 to n - 1 do
+    if in_term degree h i then incr n_active
+  done;
+  let active = Array.make !n_active 0 and idle = Array.make (n - !n_active) 0 in
+  let a = ref 0 and d = ref 0 in
+  for i = 0 to n - 1 do
+    if in_term degree h i then begin
+      active.(!a) <- i;
+      incr a
+    end
+    else begin
+      idle.(!d) <- i;
+      incr d
+    end
+  done;
+  { n; i_offset = offset.(0); h; row_ptr; col; value; active; idle }
 
 let num_spins t = t.n
 let offset t = t.i_offset
@@ -81,6 +113,8 @@ let iter_neighbors t i f =
   done
 
 let csr t = (t.row_ptr, t.col, t.value)
+let active t = t.active
+let idle t = t.idle
 
 let to_qubo t =
   (* s_i = 2 x_i - 1:

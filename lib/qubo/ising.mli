@@ -9,7 +9,14 @@
     an Ising instance with identical energy landscape ({!of_qubo} /
     {!to_qubo} round-trip preserves energies exactly, offset included).
     The frozen form mirrors {!Qubo.t}'s CSR layout so the Metropolis inner
-    loop is a couple of array reads per neighbor. *)
+    loop is a couple of array reads per neighbor.
+
+    {!of_qubo} also splits the spins, once per problem, into those that
+    appear in a term ({!active}) and the {e idle} rest ({!idle}): the
+    characters a constraint leaves unconstrained, which the paper's
+    encodings leave arbitrary. Scalar SA prices only the active spins
+    and flips the idle ones without a draw; tabu search moves only
+    active spins. *)
 
 type t
 
@@ -45,6 +52,20 @@ val csr : t -> int array * int array * float array
     physically shared with the problem — treat them as read-only. This is
     the escape hatch for allocation-free inner loops ({!Fields}, schedule
     derivation). *)
+
+val active : t -> int array
+(** The spins that appear in a term: those with a coupler or a nonzero
+    field [h_i], ascending. Computed once by {!of_qubo}; the array is
+    physically shared with the problem, so treat it as read-only. *)
+
+val idle : t -> int array
+(** The {e idle} spins, ascending: no coupler and [h_i = 0.] (the QUBO
+    variables that appear in no term, such as characters no constraint
+    touches). Together with {!active} they partition [0 .. n-1]. An idle
+    spin's local field is [0.] whatever the other spins are, so its flip
+    delta is [0.] and flipping it changes no field and no energy: scalar
+    SA's sweep flips every idle spin without a draw, and tabu search
+    never moves one. Shared and read-only like {!active}. *)
 
 val energy : t -> spins -> float
 (** [energy t s] is [H(s)].

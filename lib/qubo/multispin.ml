@@ -28,6 +28,9 @@ type t = {
   lane_buf : int array; (* set lanes of a mask, ascending *)
   sign_buf : float array; (* 2 * new_sign per set lane *)
   x_buf : float array; (* per-lane scaled delta beta*delta, bucketed accept only *)
+  min_x : float array; (* one cell: the smallest x_buf entry, settle_geometric's input *)
+  mutable acc_lo : int; (* settle_geometric's result halves: fields, not a tuple, *)
+  mutable acc_hi : int; (* so a settled site allocates nothing *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -162,6 +165,9 @@ let create ?(refresh_every = 0) ising spins_array =
       lane_buf = Array.make lanes 0;
       sign_buf = Array.make lanes 0.;
       x_buf = Array.make lanes 0.;
+      min_x = [| infinity |];
+      acc_lo = 0;
+      acc_hi = 0;
     }
   in
   pack t spins_array;
@@ -317,8 +323,10 @@ let next32 d =
   d.d3 <- rotl32 d.d3 11;
   result
 
-(* 53-bit uniform in [0,1) from two 32-bit words: 27 high + 26 low. *)
-let float53 d =
+(* 53-bit uniform in [0,1) from two 32-bit words: 27 high + 26 low.
+   Inlined, so the float is compared unboxed: as a call it would box
+   its result at every boundary-octave lane. *)
+let[@inline] float53 d =
   let a = next32 d in
   let b = next32 d in
   float_of_int (((a lsr 5) * 67108864) + (b lsr 6)) *. 0x1.0p-53
@@ -326,17 +334,20 @@ let float53 d =
 (* Phase 2 of the bucketed decision: reveal each undecided lane's
    uniform one octave per round word — every lane settles at its first
    set bit, at round g meaning u in [2^-(g+1), 2^-g). Scaled deltas come
-   from [x_buf] (phase 1 fills it, along with their minimum [min_x]);
+   from [x_buf] (phase 1 fills it, and their minimum into [min_x.(0)]);
    [acc_lo]/[acc_hi] carry the already-settled downhill accepts in.
-   Returns the final accept halves. The settled decision: x <= g ln2
-   (p >= 2^-g > u) accepts, x >= (g+1) ln2 (p <= 2^-(g+1) <= u) rejects,
-   and the boundary octave pays one float draw and one exp. The refine
+   Leaves the final accept halves in [t.acc_lo]/[t.acc_hi]: a float
+   argument or a tuple result would be boxed at every site. The settled
+   decision: x <= g ln2 (p >= 2^-g > u) accepts, x >= (g+1) ln2
+   (p <= 2^-(g+1) <= u) rejects, and the boundary octave pays one float
+   draw and one exp. The refine
    inequality v < p 2^(g+1) - 1 is the exact accept condition for ANY u
    in the octave, so the threshold compares are shortcuts, not
    approximations — and when even the smallest x exceeds the round's
    upper boundary every hit lane rejects, so the whole per-lane pass is
    skipped (the common case once the system is cold). *)
-let settle_geometric t ~d ~min_x ~rem_lo ~rem_hi ~acc_lo ~acc_hi =
+let settle_geometric t ~d ~rem_lo ~rem_hi ~acc_lo ~acc_hi =
+  let min_x = t.min_x.(0) in
   let rem_lo = ref rem_lo and rem_hi = ref rem_hi in
   let acc_lo = ref acc_lo and acc_hi = ref acc_hi in
   let g = ref 0 in
@@ -393,7 +404,8 @@ let settle_geometric t ~d ~min_x ~rem_lo ~rem_hi ~acc_lo ~acc_hi =
       incr g
     end
   done;
-  (!acc_lo, !acc_hi)
+  t.acc_lo <- !acc_lo;
+  t.acc_hi <- !acc_hi
 
 let accept_mask t ~draws:d ?only ~betas deltas =
   let lanes = t.lanes in
@@ -431,11 +443,9 @@ let accept_mask t ~draws:d ?only ~betas deltas =
       end
     end
   done;
-  let acc_lo, acc_hi =
-    settle_geometric t ~d ~min_x:!min_x ~rem_lo:!rem_lo ~rem_hi:!rem_hi ~acc_lo:!acc_lo
-      ~acc_hi:!acc_hi
-  in
-  join64 acc_lo acc_hi
+  t.min_x.(0) <- !min_x;
+  settle_geometric t ~d ~rem_lo:!rem_lo ~rem_hi:!rem_hi ~acc_lo:!acc_lo ~acc_hi:!acc_hi;
+  join64 t.acc_lo t.acc_hi
 
 (* Branchless per-lane sign select: indexing a 2-entry float array by
    the spin bit avoids a data-dependent branch the predictor cannot
@@ -445,9 +455,11 @@ let neg2_of_bit = [| 2.; -2. |]
 (* Whole-sweep fused path: deltas, bucketed acceptance and the flip are
    one pass per site with no packing/unpacking at the API boundary and
    no intermediate delta buffer — what [Sa.run_packed]'s fast path runs.
-   Uniform beta across lanes (a β schedule step). Returns accepted
+   Uniform beta across lanes, [betas.(sweep)] (a β schedule step, read
+   in place like Fields.metropolis_sweep's). Returns accepted
    lane-flips. *)
-let metropolis_sweep t ~draws:d ~beta =
+let metropolis_sweep t ~draws:d ~betas ~sweep =
+  let beta = betas.(sweep) in
   let lanes = t.lanes in
   let accepted = ref 0 in
   let top = if lanes < 32 then lanes - 1 else 31 in
@@ -478,11 +490,9 @@ let metropolis_sweep t ~draws:d ~beta =
         rem_hi := !rem_hi lor (1 lsl (l - 32))
       end
     done;
-    let acc_lo, acc_hi =
-      settle_geometric t ~d ~min_x:!min_x ~rem_lo:!rem_lo ~rem_hi:!rem_hi ~acc_lo:!acc_lo
-        ~acc_hi:!acc_hi
-    in
-    accepted := !accepted + flip_halves t i acc_lo acc_hi
+    t.min_x.(0) <- !min_x;
+    settle_geometric t ~d ~rem_lo:!rem_lo ~rem_hi:!rem_hi ~acc_lo:!acc_lo ~acc_hi:!acc_hi;
+    accepted := !accepted + flip_halves t i t.acc_lo t.acc_hi
   done;
   !accepted
 

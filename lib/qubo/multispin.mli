@@ -129,13 +129,17 @@ val accept_mask : t -> draws:draws -> ?only:int64 -> betas:float array -> float 
     restricts the decision to the given lanes (others get a 0 bit and
     consume nothing lane-specific). *)
 
-val metropolis_sweep : t -> draws:draws -> beta:float -> int
-(** One full Metropolis sweep over every site and lane at a uniform
-    [beta] — {!deltas}, {!accept_mask} and {!flip} fused into a single
-    pass per site with no [int64] round-trips or intermediate buffers.
-    The accept decisions are drawn exactly as {!accept_mask} draws them.
-    Returns the number of accepted lane-flips. This is the packed SA
-    fast path's inner loop. *)
+val metropolis_sweep : t -> draws:draws -> betas:float array -> sweep:int -> int
+(** One full Metropolis sweep over every site and lane at the uniform
+    inverse temperature [betas.(sweep)] — {!deltas}, {!accept_mask} and
+    {!flip} fused into a single pass per site with no [int64]
+    round-trips or intermediate buffers. The accept decisions are drawn
+    exactly as {!accept_mask} draws them. Returns the number of accepted
+    lane-flips. This is the packed SA fast path's inner loop, and it
+    allocates nothing: β is read from the array in place, as
+    {!Fields.metropolis_sweep} reads it. A fixed β is
+    [~betas:[| beta |] ~sweep:0].
+    @raise Invalid_argument if [sweep] is out of [betas]' bounds. *)
 
 val accept_mask_lockstep : t -> rngs:Qsmt_util.Prng.t array -> betas:float array -> float array -> int64
 (** Like {!accept_mask} but lane [l] decides with [rngs.(l)] using the

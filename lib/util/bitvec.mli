@@ -5,8 +5,18 @@
     one boxed bool per bit) keeps multi-read sample sets compact and makes
     Hamming-distance and equality checks word-parallel. *)
 
-type t
-(** A fixed-length vector of bits. Mutable. *)
+type t = private { len : int; data : Bytes.t }
+(** A fixed-length vector of bits. Mutable. Bit [i] is bit [i land 7]
+    of byte [i lsr 3] of [data]; the unused high bits of the last byte
+    are always clear, which keeps {!equal}, {!compare} and {!hash}
+    byte-wise.
+
+    The representation is visible (as a [private] type, so only this
+    module builds one) for scalar SA's sweep: its accepted flips XOR
+    the bit in [data] in place
+    ({!Qsmt_qubo.Fields.metropolis_sweep}, {!Qsmt_qubo.Fields.flip}),
+    where a call to {!flip} per accepted flip would cross a module
+    boundary. Everything else goes through the functions below. *)
 
 val create : int -> t
 (** [create n] is an all-zero vector of length [n]. *)

@@ -9,7 +9,7 @@
     The generator is xoshiro256** seeded through SplitMix64, the standard
     seeding recipe recommended by the xoshiro authors. *)
 
-type t
+type t = private Bytes.t
 (** Mutable generator state. Not thread-safe; use {!split} to hand
     independent streams to concurrent domains.
 
@@ -18,7 +18,15 @@ type t
     return value: an [int64] or [float] result is boxed when it crosses
     a module boundary (the dev profile compiles with [-opaque], so
     nothing is inlined across modules), an [int] or [bool] never is.
-    Hot loops therefore draw with {!bits53}. *)
+    Hot loops therefore draw with {!bits53}.
+
+    The buffer is visible (as a [private] type, so only this module
+    makes one) for the one loop that cannot afford a call per draw:
+    scalar SA's sweep
+    ({!Qsmt_qubo.Fields.metropolis_sweep}) reads the xoshiro256** words
+    s0..s3 (native-endian [int64] at byte offsets 0, 8, 16, 24) into
+    locals, advances them inline with the step {!bits64} takes, and
+    writes them back once per sweep. Its stream is exactly {!bits53}'s. *)
 
 val create : int -> t
 (** [create seed] builds a generator from a 63-bit seed. Equal seeds yield

@@ -23,6 +23,7 @@ module Fields = Qsmt_qubo.Fields
 module Sampleset = Qsmt_anneal.Sampleset
 module Sampler = Qsmt_anneal.Sampler
 module Sa = Qsmt_anneal.Sa
+module Schedule = Qsmt_anneal.Schedule
 module Sqa = Qsmt_anneal.Sqa
 module Pt = Qsmt_anneal.Pt
 module Tabu = Qsmt_anneal.Tabu
@@ -124,19 +125,6 @@ let kernel_props =
         let before = Fields.drift fields in
         Fields.refresh fields;
         before < 1e-9 && Fields.drift fields = 0.);
-    qtest ~count:100 "refresh_every cadence preserves the trajectory" gen_case
-      (fun (ising, spins0, flips) ->
-        (* flipping through a refreshing kernel and a never-refreshing one
-           must visit the same assignments; energies agree to tolerance *)
-        let a = Fields.create ~refresh_every:7 ising (Bitvec.copy spins0) in
-        let b = Fields.create ising (Bitvec.copy spins0) in
-        List.iter
-          (fun i ->
-            Fields.flip a i;
-            Fields.flip b i)
-          flips;
-        Bitvec.equal (Fields.spins a) (Fields.spins b)
-        && close (Fields.energy a) (Fields.energy b));
     qtest ~count:100 "reset adopts a new assignment exactly" gen_case
       (fun (ising, spins0, flips) ->
         let fields = Fields.create ising (Bitvec.copy spins0) in
@@ -204,18 +192,107 @@ let gen_repeating_ising =
   let couplers = List.filter (fun (i, j, _) -> i <> j && i < coupled && j < coupled) couplers in
   return (freeze_entries n (List.mapi (fun i h -> (i, i, h)) fields @ couplers))
 
+(* A whole SA solve against reads built from the public pieces: each
+   read's stream, random start and per-spin delta/float/flip loop, under
+   the schedule Sa derives. The QUBOs mix idle variables (no term),
+   isolated ones with a field, and couplers, with the string encodings'
+   repeating values or Gaussian ones. Sweep counts are odd, so a sweep
+   that never flipped the idle spins would end with them unflipped, and
+   a counting [stop] fires part-way through most solves. *)
+let gen_read_case =
+  let open QCheck2.Gen in
+  let* n = int_range 1 24 in
+  let* coupled = int_range 0 n in
+  let* gaussian = bool in
+  let* seed = int_range 0 9999 in
+  let* sweeps = oneofl [ 1; 3; 7; 15 ] in
+  let* reads = int_range 1 4 in
+  let* stop_after = int_range 1 ((reads * (sweeps + 1)) + 1) in
+  let q =
+    let rng = Prng.create seed in
+    let gauss () =
+      let u1 = Float.max 1e-12 (Prng.float rng) and u2 = Prng.float rng in
+      Float.sqrt (-2. *. Float.log u1) *. Float.cos (2. *. Float.pi *. u2)
+    in
+    let value choices = if gaussian then gauss () else Prng.choose rng choices in
+    let b = Qubo.builder () in
+    for i = 0 to n - 1 do
+      if Prng.bool rng then Qubo.add b i i (value [| 1.; -1.; 2.; -2. |])
+    done;
+    for _ = 1 to if coupled < 2 then 0 else Prng.int rng (2 * coupled) do
+      let i = Prng.int rng coupled and j = Prng.int rng coupled in
+      if i <> j then Qubo.add b i j (value [| 0.5; -0.5; 0.25; -1.; 2. |])
+    done;
+    Qubo.freeze ~num_vars:n b
+  in
+  return (q, seed, sweeps, reads, stop_after)
+
+let counting_stop limit =
+  let calls = ref 0 in
+  fun () ->
+    incr calls;
+    !calls > limit
+
+(* One read the way Reads and Sa run it: [stop] is polled before the
+   read and before each sweep. *)
+let reference_read ising schedule ~seed ~stop r =
+  let n = Ising.num_spins ising in
+  let rng = Prng.stream ~seed r in
+  let fields = Fields.create ising (Bitvec.random rng n) in
+  let k = ref 0 in
+  while !k < Schedule.sweeps schedule && not (stop ()) do
+    let beta = Schedule.beta schedule !k in
+    for i = 0 to n - 1 do
+      let d = Fields.delta fields i in
+      if d <= 0. || Prng.float rng < Float.exp (-.beta *. d) then Fields.flip fields i
+    done;
+    incr k
+  done;
+  (Fields.spins fields, Fields.energy fields)
+
+let read_props =
+  [
+    qtest ~count:300 "Sa.sample = reference reads, idle spins and a stop" gen_read_case
+      (fun (q, seed, sweeps, reads, stop_after) ->
+        let ising = Ising.of_qubo q in
+        let schedule = Schedule.auto ~sweeps ising in
+        let stop = counting_stop stop_after in
+        let expected =
+          List.filter_map
+            (fun r -> if stop () then None else Some (reference_read ising schedule ~seed ~stop r))
+            (List.init reads Fun.id)
+        in
+        let seen = ref [] in
+        let got =
+          Sa.sample
+            ~params:{ Sa.default with Sa.reads; sweeps; seed }
+            ~stop:(counting_stop stop_after)
+            ~on_read:(fun bits -> seen := Bitvec.copy bits :: !seen)
+            q
+        in
+        let same_entry a b =
+          Bitvec.equal a.Sampleset.bits b.Sampleset.bits
+          && Int64.bits_of_float a.Sampleset.energy = Int64.bits_of_float b.Sampleset.energy
+          && a.Sampleset.occurrences = b.Sampleset.occurrences
+        in
+        let want = Sampleset.entries (Sampleset.of_tracked q expected) in
+        let have = Sampleset.entries got in
+        List.equal Bitvec.equal (List.rev !seen) (List.map fst expected)
+        && List.length want = List.length have
+        && List.for_all2 same_entry want have);
+  ]
+
 let sweep_props =
   [
     qtest ~count:300 "metropolis_sweep = delta/float/flip loop, same stream"
-      QCheck2.Gen.(
-        quad gen_gaussian_ising (oneofl [ 0.1; 1.; 10. ]) (oneofl [ 0; 3 ]) (int_range 0 9999))
-      (fun (ising, beta, refresh_every, seed) ->
+      QCheck2.Gen.(triple gen_gaussian_ising (oneofl [ 0.1; 1.; 10. ]) (int_range 0 9999))
+      (fun (ising, beta, seed) ->
         let n = Ising.num_spins ising in
         let rng = Prng.create seed in
         let start = Bitvec.random rng n in
         let rng' = Prng.copy rng in
-        let a = Fields.create ~refresh_every ising (Bitvec.copy start) in
-        let b = Fields.create ~refresh_every ising (Bitvec.copy start) in
+        let a = Fields.create ising (Bitvec.copy start) in
+        let b = Fields.create ising (Bitvec.copy start) in
         let ok = ref true in
         for _ = 1 to 4 do
           let accepted = Fields.metropolis_sweep a ~rng ~betas:[| beta |] ~sweep:0 in
@@ -236,17 +313,16 @@ let sweep_props =
         done;
         !ok);
     qtest ~count:300 "metropolis_sweep = reference loop on repeating deltas, per-sweep betas"
-      QCheck2.Gen.(
-        quad gen_repeating_ising (oneofl [ 0.05; 0.5; 2. ]) (oneofl [ 0; 3 ]) (int_range 0 9999))
-      (fun (ising, beta0, refresh_every, seed) ->
+      QCheck2.Gen.(triple gen_repeating_ising (oneofl [ 0.05; 0.5; 2. ]) (int_range 0 9999))
+      (fun (ising, beta0, seed) ->
         let n = Ising.num_spins ising in
         let sweeps = 6 in
         let betas = Array.init sweeps (fun k -> beta0 *. float_of_int (k + 1)) in
         let rng = Prng.create seed in
         let start = Bitvec.random rng n in
         let rng' = Prng.copy rng in
-        let a = Fields.create ~refresh_every ising (Bitvec.copy start) in
-        let b = Fields.create ~refresh_every ising (Bitvec.copy start) in
+        let a = Fields.create ising (Bitvec.copy start) in
+        let b = Fields.create ising (Bitvec.copy start) in
         let ok = ref true in
         for sweep = 0 to sweeps - 1 do
           let accepted = Fields.metropolis_sweep a ~rng ~betas ~sweep in
@@ -262,9 +338,10 @@ let sweep_props =
             accepted <> !accepted'
             || (not (Bitvec.equal (Fields.spins a) (Fields.spins b)))
             || Int64.bits_of_float (Fields.energy a) <> Int64.bits_of_float (Fields.energy b)
+            || Prng.bits64 rng <> Prng.bits64 rng'
           then ok := false
         done;
-        !ok && Prng.bits64 rng = Prng.bits64 rng');
+        !ok);
     qtest ~count:200 "after reset or refresh every delta is Ising.flip_delta"
       QCheck2.Gen.(pair gen_case (int_range 0 9999))
       (fun ((ising, spins0, flips), seed) ->
@@ -488,7 +565,7 @@ let () =
   Alcotest.run "qsmt_fields"
     [
       ("kernel-vs-naive", kernel_props @ kernel_units);
-      ("metropolis-sweep", sweep_props);
+      ("metropolis-sweep", sweep_props @ read_props);
       ("of-tracked", tracked_props @ tracked_units);
       ("tracked-energies", sampler_energy_tests);
       ("table1-regressions", regression_tests);

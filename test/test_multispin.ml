@@ -10,8 +10,8 @@
    - Sa.run_packed in Lockstep mode must return sample-identical sets to
      Sa.sample from the same seed, including tail-lane groups (reads not
      a multiple of 64) and a single read;
-   - drift/refresh parity with the scalar kernel, and the refresh_every
-     validation shared by both kernels. *)
+   - drift/refresh parity with the scalar kernel, and the packed
+     kernel's refresh_every validation. *)
 
 module Bitvec = Qsmt_util.Bitvec
 module Prng = Qsmt_util.Prng
@@ -299,19 +299,6 @@ let validation_units =
           (invalid_arg_of (fun () ->
                Multispin.create ~refresh_every:(-1) (mk_ising ()) (starts 2 8))
           <> None));
-    Alcotest.test_case "Fields: negative refresh_every rejected" `Quick (fun () ->
-        let ising = mk_ising () in
-        Alcotest.(check bool) "raises" true
-          (invalid_arg_of (fun () ->
-               Fields.create ~refresh_every:(-3) ising (Bitvec.create 8))
-          <> None));
-    Alcotest.test_case "Fields: refresh_every 0 means never" `Quick (fun () ->
-        let ising = mk_ising () in
-        let f = Fields.create ~refresh_every:0 ising (Bitvec.create 8) in
-        for _ = 0 to 99 do
-          Fields.flip f 3
-        done;
-        Alcotest.(check (float 1e-9)) "still consistent" 0. (Fields.drift f));
     Alcotest.test_case "run_packed: reads < 1 rejected" `Quick (fun () ->
         let q, _ = random_ising ~seed:22 ~n:6 ~density:0.5 in
         Alcotest.(check bool) "raises" true
