@@ -1144,11 +1144,12 @@ let run_cmd =
    with its encode cache, warm starts and learned clauses — across
    commands, and recovers from errors instead of aborting the way
    `qsmt run` does. *)
-let repl_action sampler no_absint =
+let repl_session sampler no_absint telemetry =
   let st =
     match sampler with
-    | None -> Interp.create ~backend:(Interp.classical_backend ()) ()
-    | Some sampler -> Interp.create ~sampler ~absint:(if no_absint then `Off else `On) ()
+    | None -> Interp.create ~backend:(Interp.classical_backend ()) ~telemetry ()
+    | Some sampler ->
+      Interp.create ~sampler ~absint:(if no_absint then `Off else `On) ~telemetry ()
   in
   let stop = ref None in
   let exec_chunk chunk =
@@ -1228,6 +1229,9 @@ let repl_action sampler no_absint =
       2
     end
 
+let repl_action sampler no_absint trace metrics =
+  with_telemetry ~trace ~metrics (repl_session sampler no_absint)
+
 let repl_cmd =
   Cmd.v
     (Cmd.info "repl"
@@ -1244,8 +1248,7 @@ let repl_cmd =
              "printf '(declare-const x String)(assert (str.palindrome x))(assert (= (str.len x) \
               4))(check-sat)(get-model)(exit)' | qsmt repl";
          ])
-    Term.(
-      const repl_action $ sampler_term $ no_absint_arg)
+    Term.(const repl_action $ sampler_term $ no_absint_arg $ trace_arg $ metrics_arg)
 
 (* ------------------------------------------------------------------ *)
 (* export *)

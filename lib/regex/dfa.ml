@@ -39,7 +39,33 @@ let of_nfa nfa =
     !rows;
   { trans; accepting; dfa_start }
 
-let of_syntax syntax = of_nfa (Nfa.of_syntax syntax)
+(* The SMT-LIB compile, Absint, Stage's verifiers and Eval's model
+   check each determinize a query's patterns, so [of_syntax] shares its
+   automata through one process-wide table keyed on the syntax tree.
+   Sharing is safe because no [t] is mutated after construction. A full
+   table is emptied, so a workload cycling through more patterns than it
+   holds only rebuilds. *)
+module Memo = Hashtbl.Make (struct
+  type t = Syntax.t
+
+  let equal = Syntax.equal
+  let hash = Hashtbl.hash
+end)
+
+let memo_capacity = 256
+let memo : t Memo.t = Memo.create memo_capacity
+let memo_lock = Mutex.create ()
+
+let of_syntax syntax =
+  Mutex.protect memo_lock (fun () ->
+      match Memo.find_opt memo syntax with
+      | Some dfa -> dfa
+      | None ->
+        let dfa = of_nfa (Nfa.of_syntax syntax) in
+        if Memo.length memo >= memo_capacity then Memo.clear memo;
+        Memo.add memo syntax dfa;
+        dfa)
+
 let num_states t = Array.length t.trans
 let start_state t = t.dfa_start
 let is_accepting t s = t.accepting.(s)

@@ -7,9 +7,17 @@
     classical reference against which annealer outputs are judged. *)
 
 type t
+(** Immutable: no operation changes an automaton after {!of_nfa} or
+    {!of_raw} builds it, so one value can be shared freely. *)
 
 val of_nfa : Nfa.t -> t
+(** Subset construction; builds a fresh automaton on every call. *)
+
 val of_syntax : Syntax.t -> t
+(** [of_nfa (Nfa.of_syntax r)], memoized: structurally equal patterns
+    ({!Syntax.equal}) get the same shared automaton. The table is
+    process-wide, guarded by a mutex (safe from any domain), and emptied
+    when it holds 256 patterns. *)
 
 val num_states : t -> int
 val matches : t -> string -> bool

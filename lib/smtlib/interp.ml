@@ -36,9 +36,9 @@ let annealing_backend ?sampler ?absint ?(telemetry = Telemetry.null) () =
      [solve] span tree. Repeated queries over a push/pop session reuse
      cached encodings and a still-valid model, and warm-start the
      anneal from the previous best sample. The session re-runs the
-     abstract interpreter on every query, so push/pop deltas get fresh
-     static verdicts. The check-sat sites below take the one GC probe
-     per answered query. *)
+     abstract interpreter on every query its last model does not
+     answer, so push/pop deltas get fresh static verdicts. The
+     check-sat sites below take the one GC probe per answered query. *)
   let session = Qsmt_strtheory.Incremental.create ?sampler ?absint ~telemetry () in
   (* A sampler is incomplete: it can certify sat (the decode verifies)
      but never unsat, so sampling failure is `Unknown. Only a static

@@ -79,8 +79,9 @@ let num_vars c =
   | Replace_all { source; _ } | Replace_first { source; _ } -> 7 * String.length source
 
 let verifier c =
-  (* the one costly piece of a check, built once per verifier: a regex
-     determinized per call costs tens of thousands of words *)
+  (* the one costly piece of a check, fetched once per verifier so the
+     per-read checks (on several domains at once) take no lock: the
+     automaton comes from [Dfa.of_syntax]'s memo *)
   let matches =
     match c with Regex { pattern; _ } -> Dfa.matches (Dfa.of_syntax pattern) | _ -> fun _ -> false
   in

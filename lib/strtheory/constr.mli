@@ -62,9 +62,10 @@ val verify : t -> value -> bool
 
 val verifier : t -> value -> bool
 (** [verifier c] is [verify c], with the constraint's own setup done once
-    when partially applied: a {!Regex} pattern is determinized there
-    instead of on every call. Build it once per query and call it per
-    candidate value. *)
+    when partially applied: a {!Regex} pattern's automaton is fetched
+    there ({!Qsmt_regex.Dfa.of_syntax} memoizes it process-wide) instead
+    of on every call. Build it once per query and call it per candidate
+    value. *)
 
 val describe : t -> string
 (** One line, human-readable (used in experiment tables). *)

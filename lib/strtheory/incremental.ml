@@ -14,8 +14,8 @@ type t = {
      reverse-anneal seed for the next query of the same size. *)
   mutable warm : Bitvec.t option;
   (* The last satisfying string: if it still verifies against the new
-     conjuncts (the pop case — constraints only got weaker), no
-     sampling is needed at all. *)
+     conjuncts (the pop case — constraints only got weaker), neither
+     absint nor sampling runs. *)
   mutable last_sat : string option;
 }
 

@@ -14,8 +14,8 @@
       cached parts through {!Stage.merge_frozen} on every query, so the
       merged QUBO is bit-exact equal to a full recompile;
     - {b model reuse} — when the previous satisfying string still
-      verifies against the new constraints (the [pop] case), sampling is
-      skipped entirely;
+      verifies against the new constraints (the [pop] case), absint and
+      sampling are skipped entirely (the encoding still runs);
     - {b warm starts} — samplers seed their first read from the best
       assignment of the previous sampled or reused answer
       (reverse-anneal style, [?init]) and may early-exit on the first
@@ -42,9 +42,9 @@ val create :
     it enters the cache, raising {!Lint.Rejected} like {!Solver.solve}
     does.
 
-    [absint] (default [`On]) re-runs {!Absint.analyze} on every query —
-    push/pop deltas change the conjunct list, and the pass is cheaper
-    than even an encode-cache hit. Statically-decided queries return
+    [absint] (default [`On]) re-runs {!Absint.analyze} on every query
+    the last model does not answer — push/pop deltas change the
+    conjunct list. Statically-decided queries return
     without touching the cache, the pool, or the warm state (their
     outcomes carry [decided = Some _] and zero sampler reads); undecided
     queries anneal a residual with the statically-forced codec bits

@@ -132,10 +132,10 @@ let pick ~decode ~verify samples =
   in
   scan None (Sampleset.entries samples)
 
-let anneal_stages ?cache ?model ?warm cfg span cs analysis =
+(* Encode (and lint), then answer by the session's reusable model or by
+   sampling the residual absint left undecided. *)
+let anneal_stages ?cache ?reuse ?warm cfg span cs ~verify_value analysis =
   let tel = cfg.telemetry and c0 = List.hd cs in
-  let verifiers = List.map Constr.verifier cs in
-  let verify_value value = List.for_all (fun check -> check value) verifiers in
   let verify bits = verify_value (Compile.decode c0 bits) in
   let fresh = ref [] in
   let part c =
@@ -181,13 +181,13 @@ let anneal_stages ?cache ?model ?warm cfg span cs analysis =
     Option.map (fun (value, satisfied, energy) -> (samples, hardware, value, satisfied, energy)) picked
   in
   let picked =
-    match model with
-    | Some s when Qubo.num_vars qubo = 7 * String.length s && verify_value (Constr.Str s) ->
+    match reuse with
+    | Some s ->
       (* the previous answer still satisfies (the pop case): no sampling *)
       Telemetry.count tel "incr.model_reuse" 1;
       let samples = Sampleset.of_bits qubo [ Qsmt_util.Ascii7.encode s ] in
       Some (samples, None, Constr.Str s, true, (Sampleset.best samples).Sampleset.energy)
-    | _ -> (
+    | None -> (
       let forced = match analysis with Some a -> Absint.forced_bits a | None -> [] in
       let init =
         match warm with
@@ -209,10 +209,19 @@ let anneal_stages ?cache ?model ?warm cfg span cs analysis =
 
 let stages ?cache ?model ?warm cfg span cs =
   let tel = cfg.telemetry in
+  let verifiers = List.map Constr.verifier cs in
+  let verify_value value = List.for_all (fun check -> check value) verifiers in
+  (* A session's last model that satisfies every conjunct (every string
+     check pins the length, so it has the query's length) answers ahead
+     of the absint gate: the most absint could answer then is [V_sat]
+     of that same string. *)
+  let reuse =
+    match model with Some s when verify_value (Constr.Str s) -> Some s | _ -> None
+  in
   let analysis =
-    match cfg.absint with
-    | `Off -> None
-    | `On ->
+    match (cfg.absint, reuse) with
+    | `Off, _ | `On, Some _ -> None
+    | `On, None ->
       Telemetry.with_span tel ~parent:span "absint" (fun _ ->
           match Absint.analyze cs with
           | Ok a ->
@@ -226,7 +235,7 @@ let stages ?cache ?model ?warm cfg span cs =
   | None | Some { Absint.verdict = Absint.V_undecided; _ } -> (
     (* An answer closes [solve] in [finish]; an error or a raise (the
        lint gate, a sampler rejecting its input) closes it here. *)
-    match anneal_stages ?cache ?model ?warm cfg span cs analysis with
+    match anneal_stages ?cache ?reuse ?warm cfg span cs ~verify_value analysis with
     | Ok _ as answer -> answer
     | Error _ as answer ->
       Telemetry.finish tel span;

@@ -4,13 +4,15 @@
     [check-sat] — answer through {!run}, over a conjunction on one
     string variable (a single constraint is a conjunction of one):
 
+    + {b model reuse check} — a session's last satisfying string that
+      still satisfies every conjunct skips absint (the most absint
+      could answer is that same string) and answers after encode and
+      lint, with no sampling;
     + {b absint} — {!Absint.analyze}; a static verdict answers at once,
       with no QUBO, no pool and no sampler;
     + {b encode} — {!Compile.to_qubo} per conjunct (from a session's
       cache when it has the part), summed by {!merge_frozen} when there
       are several; then the optional {b lint} gate on fresh parts;
-    + {b model reuse} — a session's last satisfying string answers when
-      it still satisfies every conjunct;
     + {b clamp} the codec bits absint forced, {b sample} the residual
       (warm-started with verified-read early exit when a session's bits
       fit, then a cold retry if that run found nothing), {b lift} the

@@ -393,6 +393,38 @@ let test_smtlib_assumptions_scoped () =
   check (Alcotest.list Alcotest.string) "assumption scoped" [ "unsat"; "sat" ]
     (run ~backend:(Interp.classical_backend ()) script)
 
+let test_smtlib_reuse_before_absint () =
+  (* The check after the pop is answered by the session's last model,
+     which still satisfies every conjunct, ahead of the absint gate: no
+     analysis, no sampling, no automaton rebuilt. *)
+  let script =
+    {|(declare-const x String)
+(assert (str.in_re x (re.+ (re.union (str.to_re "a") (str.to_re "b")))))
+(assert (= (str.len x) 6))
+(assert (= (str.at x 2) "b"))
+(check-sat)
+(push 1)
+(assert (= (str.at x 0) "a"))
+(check-sat)
+(pop 1)|}
+  in
+  let telemetry = Telemetry.collector () in
+  let st = Interp.create ~telemetry () in
+  List.iter
+    (fun command -> ignore (Result.get_ok (Interp.exec st command)))
+    (Result.get_ok (Qsmt_smtlib.Parser.parse_script script));
+  let absint_runs () = Option.value ~default:0 (Telemetry.find_counter telemetry "absint.runs") in
+  let runs = absint_runs () in
+  let before = Gc.minor_words () in
+  let answer = Interp.exec st Qsmt_smtlib.Ast.Check_sat in
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.result (Alcotest.list Alcotest.string) Alcotest.string) "verdict" (Ok [ "sat" ])
+    answer;
+  check Alcotest.bool "same model" true
+    (Interp.model st = Some [ ("x", Qsmt_smtlib.Eval.V_str "abbbab") ]);
+  check Alcotest.int "no absint run" runs (absint_runs ());
+  if words >= 20_000. then Alcotest.failf "a reuse check allocated %.0f minor words" words
+
 let () =
   Alcotest.run "qsmt_incremental"
     [
@@ -424,5 +456,6 @@ let () =
           Alcotest.test_case "parity (classical)" `Quick test_smtlib_parity_classical;
           Alcotest.test_case "unsat then pop" `Quick test_smtlib_classical_unsat_pop;
           Alcotest.test_case "assumptions scoped" `Quick test_smtlib_assumptions_scoped;
+          Alcotest.test_case "model reuse before absint" `Quick test_smtlib_reuse_before_absint;
         ] );
     ]

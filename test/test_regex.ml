@@ -501,6 +501,49 @@ let test_rep_count () =
   check Alcotest.int "4 strings" 4 (Dfa.count_matching dfa ~len:2);
   check Alcotest.int "none at 3" 0 (Dfa.count_matching dfa ~len:3)
 
+(* ------------------------------------------------------------------ *)
+(* Dfa.of_syntax memo *)
+
+let test_memo_shares () =
+  let first = Dfa.of_syntax (parse "a[bc]+") in
+  (* parsed again: structurally equal, physically distinct *)
+  let again = parse "a[bc]+" in
+  let before = Gc.minor_words () in
+  let second = Dfa.of_syntax again in
+  let words = Gc.minor_words () -. before in
+  check Alcotest.bool "same automaton" true (first == second);
+  if words >= 1_000. then Alcotest.failf "a memo hit allocated %.0f minor words" words
+
+let test_memo_overflow () =
+  (* More distinct patterns than the table holds: every automaton handed
+     out, before the table empties and after, accepts what the NFA does
+     on its enumerated and sampled strings and on a near miss of each. *)
+  let templates =
+    [| Printf.sprintf "(a|b)+%d[xy]?"; Printf.sprintf "%d(c|dd)*e"; Printf.sprintf "[a-c]?x%d+" |]
+  in
+  let patterns =
+    List.init 300 (fun i -> (templates.(i mod 3) i, String.length (string_of_int i) + 2))
+  in
+  let agrees (pat, len) dfa =
+    let nfa = Nfa.of_syntax (parse pat) in
+    let rng = Prng.create len in
+    let sampled = List.filter_map (fun _ -> Dfa.sample dfa ~len ~rng) (List.init 5 Fun.id) in
+    let accepted = Dfa.enumerate ~limit:20 dfa ~len @ sampled in
+    if accepted = [] then Alcotest.failf "/%s/ accepts no string of length %d" pat len;
+    List.iter
+      (fun s ->
+        let miss = "z" ^ String.sub s 1 (len - 1) in
+        List.iter
+          (fun s ->
+            if Dfa.matches dfa s <> Nfa.matches nfa s then
+              Alcotest.failf "/%s/: DFA and NFA disagree on %S" pat s)
+          [ s; miss ])
+      accepted
+  in
+  let held = List.map (fun (pat, len) -> ((pat, len), Dfa.of_syntax (parse pat))) patterns in
+  List.iter (fun (p, dfa) -> agrees p dfa) held;
+  List.iter (fun ((pat, _) as p) -> agrees p (Dfa.of_syntax (parse pat))) patterns
+
 let () =
   Alcotest.run "qsmt_regex"
     [
@@ -574,6 +617,11 @@ let () =
           Alcotest.test_case "equivalent positive" `Quick test_equivalent_positive;
           Alcotest.test_case "equivalent negative" `Quick test_equivalent_negative;
           prop_minimize_equivalent;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "equal patterns share" `Quick test_memo_shares;
+          Alcotest.test_case "overflow stays correct" `Quick test_memo_overflow;
         ] );
       ( "unroll",
         [
