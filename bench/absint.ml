@@ -45,7 +45,7 @@ let table1 =
     Constr.Palindrome { length = 6 };
     Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 5 };
     Constr.Concat [ "hello"; " "; "world" ];
-    Constr.Index_of { length = 6; substring = "hi"; index = 2 };
+    Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false };
     Constr.Includes { haystack = "hello world"; needle = "world" };
   ]
 

@@ -193,7 +193,7 @@ let table1_rows =
     };
     {
       label = "Generate a string of length 6 that contains the substring 'hi' at index 2";
-      run = run_single (Constr.Index_of { length = 6; substring = "hi"; index = 2 });
+      run = run_single (Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false });
       expected = None;
       paper_output = "qphiqp (hi forced at 2, rest free)";
     };
@@ -536,7 +536,7 @@ let ext5 () =
       ( "palindrome(4) AND 'ab' at 0",
         [
           Constr.Palindrome { length = 4 };
-          Constr.Index_of { length = 4; substring = "ab"; index = 0 };
+          Constr.Index_of { length = 4; substring = "ab"; index = 0; first = false };
         ] );
       ( "palindrome(6) AND regex [ab]+",
         [
@@ -580,7 +580,7 @@ let ext6 () =
       Constr.Equals "hello world";
       Constr.Replace_all { source = "hello"; find = 'l'; replace = 'x' };
       Constr.Contains { length = 6; substring = "cat" };
-      Constr.Index_of { length = 6; substring = "hi"; index = 2 };
+      Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false };
       Constr.Palindrome { length = 6 };
       Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 6 };
       Constr.Includes { haystack = "abcabcabc"; needle = "abc" };
@@ -680,7 +680,7 @@ let ext9 () =
       ("palindrome 6", Constr.Palindrome { length = 6 });
       ("regex a[bc]+ 5", Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 5 });
       ("concat hello world", Constr.Concat [ "hello"; " "; "world" ]);
-      ("indexof hi@2 len6", Constr.Index_of { length = 6; substring = "hi"; index = 2 });
+      ("indexof hi@2 len6", Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false });
       ("includes world", Constr.Includes { haystack = "hello world"; needle = "world" });
     ]
   in
@@ -768,7 +768,7 @@ let bechamel_section () =
                     Pipeline.stages = [ Pipeline.Replace_all { find = 'l'; replace = 'x' } ]
                   })));
       Test.make ~name:"table1/row5-indexof"
-        (Staged.stage (solve (Constr.Index_of { length = 6; substring = "hi"; index = 2 })));
+        (Staged.stage (solve (Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false })));
       Test.make ~name:"table1/row6-includes"
         (Staged.stage (solve (Constr.Includes { haystack = "hello world"; needle = "world" })));
       (* figure 1 stages in isolation *)

@@ -459,7 +459,7 @@ let constraint_of_op op args =
   | "indexof", [ len; sub; idx ] ->
     let* length = int len in
     let* index = int idx in
-    Ok (Constr.Index_of { length; substring = sub; index })
+    Ok (Constr.Index_of { length; substring = sub; index; first = false })
   | "length", [ chars; target ] ->
     let* num_chars = int chars in
     let* target_length = int target in
@@ -674,7 +674,7 @@ let table1_constraints () =
     Constr.Palindrome { length = 6 };
     Constr.Regex { pattern; length = 5 };
     Constr.Concat [ "hello"; " "; "world" ];
-    Constr.Index_of { length = 6; substring = "hi"; index = 2 };
+    Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false };
     Constr.Includes { haystack = "hello world"; needle = "world" };
   ]
 
@@ -1153,7 +1153,8 @@ let repl_session sampler no_absint telemetry =
   in
   let stop = ref None in
   let exec_chunk chunk =
-    match Parser.parse_script chunk with
+    (* the span [Interp.run_string] opens around its parse *)
+    match Telemetry.with_span telemetry "smtlib.parse" (fun _ -> Parser.parse_script chunk) with
     | Error msg -> Printf.printf "(error %S)\n" msg
     | Ok cmds ->
       List.iter

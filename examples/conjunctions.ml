@@ -41,7 +41,7 @@ let () =
       ( "palindrome(4) and 'ab' at index 0",
         [
           Constr.Palindrome { length = 4 };
-          Constr.Index_of { length = 4; substring = "ab"; index = 0 };
+          Constr.Index_of { length = 4; substring = "ab"; index = 0; first = false };
         ] );
       ( "palindrome(6) over alphabet [ab]",
         [
@@ -81,7 +81,7 @@ let () =
       ( "palindrome + forced prefix",
         [
           Constr.Palindrome { length = 4 };
-          Constr.Index_of { length = 4; substring = "ab"; index = 0 };
+          Constr.Index_of { length = 4; substring = "ab"; index = 0; first = false };
         ] );
       ("palindrome alone", [ Constr.Palindrome { length = 4 } ]);
     ]

@@ -30,7 +30,7 @@ let () =
      the strongest single constraint and then filter on the validator. *)
   let pattern = Qsmt_regex.Parser.parse_exn "[a-z]+" in
   ignore pattern;
-  let constr = Constr.Index_of { length = 8; substring = "dev"; index = 2 } in
+  let constr = Constr.Index_of { length = 8; substring = "dev"; index = 2; first = false } in
   let attempts = List.init 8 (fun seed -> seed) in
   let hits =
     List.filter_map

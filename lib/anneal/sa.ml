@@ -22,16 +22,16 @@ let read_rng ~seed r = Prng.stream ~seed r
    [Fields.metropolis_sweep] per sweep, [stop] polled before each. The
    per-spin loop lives in [Fields], next to the field array, and reads
    each sweep's beta from the schedule's own array, so a sweep allocates
-   nothing. *)
+   nothing. [on_sweep] gets only ints: an observer that wants the energy
+   reads it from [fields] on the sweeps it records, so one that records
+   a few sweeps boxes no float on the others. *)
 let anneal_fields ~rng ~schedule ?on_sweep ?stop fields =
   let stopped () = match stop with Some f -> f () | None -> false in
   let betas = schedule.Schedule.betas in
   let k = ref 0 in
   while !k < Array.length betas && not (stopped ()) do
     let accepted = Fields.metropolis_sweep fields ~rng ~betas ~sweep:!k in
-    (match on_sweep with
-    | Some f -> f ~sweep:!k ~energy:(Fields.energy fields) ~accepted
-    | None -> ());
+    (match on_sweep with Some f -> f ~sweep:!k ~accepted | None -> ());
     incr k
   done
 
@@ -39,6 +39,9 @@ let anneal_ising ~rng ~schedule ?init ?on_sweep ?stop ising =
   let n = Ising.num_spins ising in
   let spins = match init with Some s -> Bitvec.copy s | None -> Bitvec.random rng n in
   let fields = Fields.create ising spins in
+  let on_sweep =
+    Option.map (fun f ~sweep ~accepted -> f ~sweep ~energy:(Fields.energy fields) ~accepted) on_sweep
+  in
   anneal_fields ~rng ~schedule ?on_sweep ?stop fields;
   (spins, Fields.energy fields)
 
@@ -57,7 +60,8 @@ let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null
     ?on_read ~telemetry q (fun ising ->
       let n = Ising.num_spins ising in
       let schedule = schedule_for params ising in
-      let tracked = Telemetry.enabled telemetry in
+      (* the trajectory is point events only: skipped when no sink keeps them *)
+      let tracked = Telemetry.keeps_events telemetry in
       let sweeps = Schedule.sweeps schedule in
       let stride = Reads.sweep_stride sweeps in
       let read r init =
@@ -68,14 +72,14 @@ let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null
           if not tracked then None
           else
             Some
-              (fun ~sweep ~energy ~accepted ->
+              (fun ~sweep ~accepted ->
                 if sweep mod stride = 0 || sweep = sweeps - 1 then
                   Telemetry.emit telemetry "sa.sweep"
                     [
                       ("read", Telemetry.Int r);
                       ("sweep", Telemetry.Int sweep);
                       ("beta", Telemetry.Float (Schedule.beta schedule sweep));
-                      ("energy", Telemetry.Float energy);
+                      ("energy", Telemetry.Float (Fields.energy fields));
                       ("acceptance", Telemetry.Float (float_of_int accepted /. float_of_int n));
                     ])
         in
@@ -113,7 +117,8 @@ let run_packed ?(params = default) ?(mode = Bucketed) ?init ?stop ?on_read
     ?on_read ~telemetry q (fun ising ->
       let n = Ising.num_spins ising in
       let schedule = schedule_for params ising in
-      let tracked = Telemetry.enabled telemetry in
+      (* the trajectory is point events only: skipped when no sink keeps them *)
+      let tracked = Telemetry.keeps_events telemetry in
       let sweeps = Schedule.sweeps schedule in
       let stride = Reads.sweep_stride sweeps in
       let read g init =

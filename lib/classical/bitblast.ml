@@ -138,7 +138,7 @@ let encode c =
     Cnf.create ~num_vars:(max 1 (7 * String.length s)) (fixed_string_clauses s)
   | Constr.Contains { length; substring } -> encode_contains ~length ~substring
   | Constr.Includes { haystack; needle } -> encode_includes ~haystack ~needle
-  | Constr.Index_of { length; substring; index } -> encode_indexof ~length ~substring ~index
+  | Constr.Index_of { length; substring; index; _ } -> encode_indexof ~length ~substring ~index
   | Constr.Has_length { num_chars; target_length } -> encode_has_length ~num_chars ~target_length
   | Constr.Palindrome { length } -> encode_palindrome ~length
   | Constr.Regex { pattern; length } -> encode_regex ~pattern ~length

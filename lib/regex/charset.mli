@@ -2,8 +2,12 @@
 
     The alphabet everywhere in this library is the 7-bit ASCII range the
     paper's encoding supports (codes 0-127). Implemented as a two-word
-    bitset, so union/intersection/membership are a few machine
-    operations — these sit in the DFA construction inner loop. *)
+    bitset, so union/intersection/membership/subset tests are a few
+    machine operations, and the traversals ({!fold}, {!iter},
+    {!to_list}, {!for_all}, {!choose}) walk the set bits, lowest first,
+    in time proportional to the members rather than to the 128 codes.
+    These sit in the DFA construction and the abstract interpreter's
+    per-position domains. *)
 
 type t
 
@@ -33,6 +37,13 @@ val complement : t -> t
 (** With respect to {!full}. *)
 
 val is_empty : t -> bool
+
+val disjoint : t -> t -> bool
+(** [disjoint a b] iff [inter a b] is empty, without building it. *)
+
+val subset : t -> t -> bool
+(** [subset a b] iff every member of [a] is in [b]. *)
+
 val cardinal : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
@@ -44,8 +55,14 @@ val to_list : t -> char list
 (** Ascending. *)
 
 val iter : (char -> unit) -> t -> unit
+(** Ascending. *)
+
 val fold : (char -> 'a -> 'a) -> t -> 'a -> 'a
+(** Ascending: [fold f t a] is [f cn (... (f c1 a))] for members
+    [c1 < ... < cn]. *)
+
 val for_all : (char -> bool) -> t -> bool
+(** Ascending, stopping at the first member the predicate rejects. *)
 
 val pp : Format.formatter -> t -> unit
 (** Compact rendering, e.g. [\[a-c x\]]. *)

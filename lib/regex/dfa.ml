@@ -2,42 +2,102 @@ module Prng = Qsmt_util.Prng
 
 (* trans.(state).(code) = next state, or -1 for the (implicit) dead
    state. 128 columns per state: the alphabet is small and fixed, dense
-   rows beat transition maps. *)
-type t = { trans : int array array; accepting : bool array; dfa_start : int }
+   rows beat transition maps. out.(state) is the same row grouped by
+   target, one (target, codes) class per live successor, for the
+   consumers that work on whole character sets at once. *)
+type t = {
+  trans : int array array;
+  out : (int * Charset.t) list array;
+  accepting : bool array;
+  dfa_start : int;
+}
 
+(* Merges (target, codes) pairs with equal targets, keeping the order in
+   which targets first appear. *)
+let group_by_target pairs =
+  let groups = ref [] in
+  List.iter
+    (fun (target, codes) ->
+      match List.assoc_opt target !groups with
+      | Some set -> set := Charset.union !set codes
+      | None -> groups := (target, ref codes) :: !groups)
+    pairs;
+  List.rev_map (fun (target, set) -> (target, !set)) !groups
+
+let classes_of_row row =
+  let pairs = ref [] in
+  for code = 127 downto 0 do
+    if row.(code) >= 0 then pairs := (row.(code), Charset.singleton (Char.chr code)) :: !pairs
+  done;
+  group_by_target !pairs
+
+(* Codes 0..127 split into the byte classes the NFA's labels induce:
+   every label holds all of a class or none of it, so one member steps
+   any subset of NFA states to the same successor as every other
+   member. Each class comes with its smallest code, and the list is
+   ascending in it. *)
+let byte_classes nfa =
+  let split classes label =
+    List.concat_map
+      (fun cls ->
+        List.filter
+          (fun part -> not (Charset.is_empty part))
+          [ Charset.inter cls label; Charset.diff cls label ])
+      classes
+  in
+  List.fold_left split [ Charset.full ] (List.sort_uniq Charset.compare (Nfa.labels nfa))
+  |> List.map (fun cls -> (Option.get (Charset.choose cls), cls))
+  |> List.sort (fun (a, _) (b, _) -> Char.compare a b)
+
+(* Subsets of NFA states (sorted lists) as table keys. *)
+module Subsets = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash = List.fold_left (fun h s -> (h * 31) + s) 0
+end)
+
+(* Subset construction, depth first: a new subset takes the next id,
+   then its successors are interned class by class. Visiting classes in
+   order of their smallest code meets successors in the order a
+   code-by-code scan of 0..127 would, so the numbering is that scan's. *)
 let of_nfa nfa =
-  let key states = String.concat "," (List.map string_of_int states) in
-  let ids = Hashtbl.create 64 in
-  let rows = ref [] (* (id, transitions row, accepting) in reverse id order *) in
+  let classes = byte_classes nfa in
+  let ids = Subsets.create 64 in
+  let states = ref [] (* (id, transitions row, out classes, accepting), newest first *) in
   let counter = ref 0 in
-  let rec intern states =
-    let k = key states in
-    match Hashtbl.find_opt ids k with
+  let rec intern subset =
+    match Subsets.find_opt ids subset with
     | Some id -> id
     | None ->
       let id = !counter in
       incr counter;
-      Hashtbl.add ids k id;
+      Subsets.add ids subset id;
       let row = Array.make 128 (-1) in
-      (* reserve the slot before recursing; rows are patched in place *)
-      rows := (id, row, List.mem (Nfa.accept nfa) states) :: !rows;
-      for code = 0 to 127 do
-        let next = Nfa.epsilon_closure nfa (Nfa.step nfa states (Char.chr code)) in
-        if next <> [] then row.(code) <- intern next
-      done;
+      let out =
+        List.filter_map
+          (fun (rep, cls) ->
+            match Nfa.epsilon_closure nfa (Nfa.step nfa subset rep) with
+            | [] -> None
+            | next ->
+              let target = intern next in
+              Charset.iter (fun c -> row.(Char.code c) <- target) cls;
+              Some (target, cls))
+          classes
+      in
+      states := (id, row, group_by_target out, List.mem (Nfa.accept nfa) subset) :: !states;
       id
   in
-  let start_states = Nfa.epsilon_closure nfa [ Nfa.start nfa ] in
-  let dfa_start = intern start_states in
+  let dfa_start = intern (Nfa.epsilon_closure nfa [ Nfa.start nfa ]) in
   let n = !counter in
-  let trans = Array.make n [||] in
-  let accepting = Array.make n false in
+  let trans = Array.make n [||] and out = Array.make n [] and accepting = Array.make n false in
   List.iter
-    (fun (id, row, acc) ->
+    (fun (id, row, classes, acc) ->
       trans.(id) <- row;
+      out.(id) <- classes;
       accepting.(id) <- acc)
-    !rows;
-  { trans; accepting; dfa_start }
+    !states;
+  { trans; out; accepting; dfa_start }
 
 (* The SMT-LIB compile, Absint, Stage's verifiers and Eval's model
    check each determinize a query's patterns, so [of_syntax] shares its
@@ -74,6 +134,8 @@ let transition t s c =
   let next = t.trans.(s).(Char.code c) in
   if next < 0 then None else Some next
 
+let out_classes t s = t.out.(s)
+
 let of_raw ~trans ~accepting ~start =
   let n = Array.length trans in
   if Array.length accepting <> n then invalid_arg "Dfa.of_raw: accepting length mismatch";
@@ -87,7 +149,12 @@ let of_raw ~trans ~accepting ~start =
           if target < -1 || target >= n then invalid_arg "Dfa.of_raw: target out of range")
         row)
     trans;
-  { trans = Array.map Array.copy trans; accepting = Array.copy accepting; dfa_start = start }
+  {
+    trans = Array.map Array.copy trans;
+    out = Array.map classes_of_row trans;
+    accepting = Array.copy accepting;
+    dfa_start = start;
+  }
 
 let matches t s =
   let state = ref t.dfa_start in
@@ -101,24 +168,26 @@ let matches t s =
   !state >= 0 && t.accepting.(!state)
 
 (* counts.(k).(s) = number of accepted suffixes of length k from state s,
-   saturating at max_int. *)
+   saturating at max_int: per out class, the successor's count times the
+   class's size. Every term is non-negative, so saturating each product
+   and sum gives min (exact total, max_int), as a per-code sum would. *)
 let suffix_counts t len =
   let n = num_states t in
   let counts = Array.make_matrix (len + 1) n 0 in
+  let sized = Array.map (List.map (fun (next, codes) -> (next, Charset.cardinal codes))) t.out in
   for s = 0 to n - 1 do
     counts.(0).(s) <- (if t.accepting.(s) then 1 else 0)
   done;
   for k = 1 to len do
+    let prev = counts.(k - 1) in
     for s = 0 to n - 1 do
-      let total = ref 0 in
-      for code = 0 to 127 do
-        let next = t.trans.(s).(code) in
-        if next >= 0 then begin
-          let c = counts.(k - 1).(next) in
-          total := if !total > max_int - c then max_int else !total + c
-        end
-      done;
-      counts.(k).(s) <- !total
+      counts.(k).(s) <-
+        List.fold_left
+          (fun total (next, size) ->
+            let c = prev.(next) in
+            let c = if c > max_int / size then max_int else c * size in
+            if total > max_int - c then max_int else total + c)
+          0 sized.(s)
     done
   done;
   counts
@@ -193,7 +262,14 @@ let restrict t allowed =
         Array.init 128 (fun code ->
             if Charset.mem (Char.chr code) allowed then t.trans.(s).(code) else -1))
   in
-  { trans; accepting = Array.copy t.accepting; dfa_start = t.dfa_start }
+  let out =
+    Array.map
+      (List.filter_map (fun (next, codes) ->
+           let codes = Charset.inter codes allowed in
+           if Charset.is_empty codes then None else Some (next, codes)))
+      t.out
+  in
+  { trans; out; accepting = Array.copy t.accepting; dfa_start = t.dfa_start }
 
 let accepts_nothing t =
   (* reachable accepting state? *)

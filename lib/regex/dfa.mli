@@ -1,6 +1,10 @@
 (** Deterministic finite automata over 7-bit ASCII.
 
-    Built from an {!Nfa} by subset construction. Besides matching, the
+    Built from an {!Nfa} by subset construction over byte classes: the
+    codes 0..127 are first split into the classes the NFA's character
+    sets induce (codes no label tells apart), and each subset of NFA
+    states is stepped and ε-closed once per class instead of once per
+    code. Besides matching, the
     DFA supports the counting and sampling queries the experiment harness
     needs: how many strings of length [n] match (dynamic programming over
     states), uniform sampling of a matching string, and enumeration — the
@@ -11,7 +15,9 @@ type t
     {!of_raw} builds it, so one value can be shared freely. *)
 
 val of_nfa : Nfa.t -> t
-(** Subset construction; builds a fresh automaton on every call. *)
+(** Subset construction; builds a fresh automaton on every call. States
+    are numbered in the order a depth-first, code-by-code construction
+    would meet them (classes are visited by smallest code). *)
 
 val of_syntax : Syntax.t -> t
 (** [of_nfa (Nfa.of_syntax r)], memoized: structurally equal patterns
@@ -30,6 +36,14 @@ val transition : t -> int -> char -> int option
     dead state. Exposed for the SAT bit-blaster's unrolled-automaton
     encoding. *)
 
+val out_classes : t -> int -> (int * Charset.t) list
+(** [out_classes t s] is state [s]'s transition row grouped by target:
+    one [(target, codes)] pair per live successor, [codes] being every
+    character leading there. The sets are disjoint and non-empty, and
+    their union is exactly the characters with a {!transition} from [s].
+    Lets set-at-a-time consumers (counting, Absint's reachability) do
+    word operations per successor instead of a lookup per code. *)
+
 val of_raw : trans:int array array -> accepting:bool array -> start:int -> t
 (** Build a DFA directly from its transition table ([trans.(s).(code)],
     [-1] = dead). Used by {!Minimize}.
@@ -37,8 +51,9 @@ val of_raw : trans:int array array -> accepting:bool array -> start:int -> t
     out-of-range entries. *)
 
 val count_matching : t -> len:int -> int
-(** Number of strings of exactly [len] characters accepted. Saturates at
-    [max_int] (counts grow as 128^len).
+(** Number of strings of exactly [len] characters accepted, by dynamic
+    programming over {!out_classes} (each successor's count times its
+    class's size). Saturates at [max_int] (counts grow as 128^len).
     @raise Invalid_argument if [len < 0]. *)
 
 val enumerate : ?limit:int -> t -> len:int -> string list

@@ -87,6 +87,11 @@ let num_states t = t.num_states
 let start t = t.start
 let accept t = t.accept
 
+let labels t =
+  Array.fold_left
+    (List.fold_left (fun acc -> function On (set, _) -> set :: acc | Eps _ -> acc))
+    [] t.out
+
 let epsilon_closure t states =
   let seen = Array.make t.num_states false in
   let stack = ref states in

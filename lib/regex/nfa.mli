@@ -26,3 +26,7 @@ val step : t -> int list -> char -> int list
 
 val start : t -> int
 val accept : t -> int
+
+val labels : t -> Charset.t list
+(** The character sets on the automaton's non-ε transitions (with
+    repeats). Exposed for the DFA's byte classes. *)

@@ -17,7 +17,8 @@ type spec = {
   mutable eq_target : string option;
   mutable length : int option;
   mutable contains : string list;
-  mutable forced_index : (string * int) option; (* indexof-at-0 fact or locate sentinel *)
+  mutable indexofs : (string * int) list; (* (= (str.indexof x sub 0) i) facts *)
+  mutable locate : string option; (* the needle an Int unknown is the indexof of *)
   mutable indices : (string * int) list; (* str.at / str.substr facts *)
   mutable regexes : Syntax.t list;
   mutable palindrome : bool;
@@ -31,7 +32,8 @@ let fresh_spec () =
     eq_target = None;
     length = None;
     contains = [];
-    forced_index = None;
+    indexofs = [];
+    locate = None;
     indices = [];
     regexes = [];
     palindrome = false;
@@ -112,13 +114,15 @@ let rec digest env specs ground_truth term =
   | Ast.App ("=", [ Ast.Int i; Ast.App ("str.indexof", [ Ast.Var v; sub; Ast.Int 0 ]) ])
     when is_ground sub ->
     let* sub = eval_ground_string sub in
-    (* "" is found at 0 in every string *)
+    (* "" is found at 0 in every string; a needle's first occurrence
+       has one index, but different needles may each have one *)
     if sub = "" then Ok (if i <> 0 then ground_truth := false)
     else begin
       let s = spec_for v in
-      match s.forced_index with
-      | Some prior when prior <> (sub, i) -> Ok (ground_truth := false)
-      | Some _ | None -> Ok (s.forced_index <- Some (sub, i))
+      match List.assoc_opt sub s.indexofs with
+      | Some prior when prior <> i -> Ok (ground_truth := false)
+      | Some _ -> Ok ()
+      | None -> Ok (s.indexofs <- (sub, i) :: s.indexofs)
     end
   (* i = (str.indexof "hay" "needle" 0) with Int unknown i *)
   | Ast.App ("=", [ Ast.Var v; (Ast.App ("str.indexof", [ hay; sub; Ast.Int 0 ]) as rhs) ])
@@ -127,10 +131,9 @@ let rec digest env specs ground_truth term =
     let* hay = eval_ground_string hay in
     let* sub = eval_ground_string sub in
     let s = spec_for v in
-    (* reuse forced_index to carry (needle, sentinel) plus eq_target for
-       the haystack: see locate handling below *)
+    (* the haystack rides in eq_target: see locate handling below *)
     s.eq_target <- Some hay;
-    s.forced_index <- Some (sub, -1);
+    s.locate <- Some sub;
     Ok ()
   (* (= (str.at x i) "c") : one forced character; (= (str.substr x i n)
      "lit") with |lit| = n : a forced substring. Both orders. *)
@@ -200,9 +203,9 @@ let rec digest env specs ground_truth term =
 let target_consistent spec target =
   (match spec.length with Some n -> String.length target = n | None -> true)
   && List.for_all (fun sub -> Semantics.contains target ~sub) spec.contains
-  && (match spec.forced_index with
-     | Some (sub, i) -> Option.value ~default:(-1) (Semantics.index_of target ~sub) = i
-     | None -> true)
+  && List.for_all
+       (fun (sub, i) -> Option.value ~default:(-1) (Semantics.index_of target ~sub) = i)
+       spec.indexofs
   && List.for_all (fun (sub, i) -> Semantics.occurs_at target ~sub i) spec.indices
   && (not spec.palindrome || Semantics.is_palindrome target)
   && List.for_all
@@ -235,21 +238,22 @@ let conjuncts_of_spec spec ~length =
       (Ok []) spec.regexes
   in
   let* index =
-    match spec.forced_index with
-    | None -> Ok []
-    | Some (sub, i) ->
-      if i >= 0 && i + String.length sub <= length then
-        Ok [ Constr.Index_of { length; substring = sub; index = i } ]
-      else if i = -1 then
-        Error (`Unsupported "str.indexof = -1 (an absent substring) is not encodable")
-      else Error `Unsat
+    List.fold_left
+      (fun acc (sub, i) ->
+        let* acc = acc in
+        if i >= 0 && i + String.length sub <= length then
+          Ok (Constr.Index_of { length; substring = sub; index = i; first = true } :: acc)
+        else if i = -1 then
+          Error (`Unsupported "str.indexof = -1 (an absent substring) is not encodable")
+        else Error `Unsat)
+      (Ok []) spec.indexofs
   in
   let* at_indices =
     List.fold_left
       (fun acc (sub, i) ->
         let* acc = acc in
         if i >= 0 && i + String.length sub <= length then
-          Ok (Constr.Index_of { length; substring = sub; index = i } :: acc)
+          Ok (Constr.Index_of { length; substring = sub; index = i; first = false } :: acc)
         else Error `Unsat)
       (Ok []) spec.indices
   in
@@ -266,7 +270,7 @@ let conjuncts_of_spec spec ~length =
       (fun acc pre ->
         let* acc = acc in
         if String.length pre <= length then
-          Ok (Constr.Index_of { length; substring = pre; index = 0 } :: acc)
+          Ok (Constr.Index_of { length; substring = pre; index = 0; first = false } :: acc)
         else Error `Unsat)
       (Ok []) spec.prefixes
   in
@@ -275,7 +279,9 @@ let conjuncts_of_spec spec ~length =
       (fun acc suf ->
         let* acc = acc in
         if String.length suf <= length then
-          Ok (Constr.Index_of { length; substring = suf; index = length - String.length suf } :: acc)
+          Ok (Constr.Index_of
+               { length; substring = suf; index = length - String.length suf; first = false }
+             :: acc)
         else Error `Unsat)
       (Ok []) spec.suffixes
   in
@@ -293,16 +299,15 @@ let constr_of_spec v spec =
       (* without a length nothing is encodable; name the missing piece *)
       match
         ( spec.regexes,
-          spec.forced_index,
+          spec.indexofs,
           spec.contains @ spec.prefixes @ spec.suffixes @ List.map fst spec.indices,
           spec.palindrome )
       with
       | _ :: _, _, _, _ -> Error "str.in_re needs an explicit (str.len x) assertion"
-      | [], Some _, _, _ -> Error "str.indexof constraint needs a length"
-      | [], None, _ :: _, _ ->
-        Error "str.contains/str.prefixof/str.suffixof need a length"
-      | [], None, [], true -> Error "str.palindrome needs a length"
-      | [], None, [], false -> Error (Printf.sprintf "variable %s is unconstrained" v)
+      | [], _ :: _, _, _ -> Error "str.indexof constraint needs a length"
+      | [], [], _ :: _, _ -> Error "str.contains/str.prefixof/str.suffixof need a length"
+      | [], [], [], true -> Error "str.palindrome needs a length"
+      | [], [], [], false -> Error (Printf.sprintf "variable %s is unconstrained" v)
     end
     | Some length -> begin
       match conjuncts_of_spec spec ~length with
@@ -319,8 +324,8 @@ let constr_of_spec v spec =
   end
 
 let locate_of_spec v spec =
-  match (spec.eq_target, spec.forced_index) with
-  | Some haystack, Some (needle, -1) -> begin
+  match (spec.eq_target, spec.locate) with
+  | Some haystack, Some needle -> begin
     match Semantics.index_of haystack ~sub:needle with
     | None ->
       (* No occurrence: SMT-LIB says indexof = -1, which the one-hot

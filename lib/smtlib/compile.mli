@@ -10,7 +10,9 @@
       classically against it — a contradiction is [Unsat]);
     - [str.in_re] + a length → [Regex] (infeasible lengths are detected
       with the DFA counting oracle and reported [Unsat]);
-    - [(= (str.indexof x sub 0) i)] + length → [Index_of];
+    - [(= (str.indexof x sub 0) i)] + length → [Index_of] with
+      [first = true] (no earlier occurrence; [str.at], [str.substr],
+      [str.prefixof] and [str.suffixof] give [first = false]);
     - [str.contains] + length → [Contains];
     - [str.prefixof] / [str.suffixof] (ground prefix/suffix) + length →
       [Index_of] at position 0 / [length − |suffix|];

@@ -26,6 +26,7 @@ type st = {
   (* union-find over positions; palindrome mirrors are the only merge
      source today, but the closure is generic *)
   parent : int array;
+  mutable merged : bool; (* some [union] joined two classes *)
   mutable st_facts : int;
   mutable changed : bool;
   mutable contradiction : string option;
@@ -37,6 +38,7 @@ let union st i j =
   let ri = find st i and rj = find st j in
   if ri <> rj then begin
     st.parent.(max ri rj) <- min ri rj;
+    st.merged <- true;
     st.st_facts <- st.st_facts + 1
   end
 
@@ -61,22 +63,21 @@ let meet_literal st s = String.iteri (fun i c -> meet st i (Charset.singleton c)
 
 (* Propagate domain meets across congruence classes: congruent
    positions hold the same character in any satisfying string, so each
-   class shares the meet of its members' domains. *)
+   class shares the meet of its members' domains. Without a merge every
+   class is one position, and the pass would change nothing. *)
 let congruence st =
-  let l = Array.length st.st_doms in
-  let class_meet = Hashtbl.create 8 in
-  for i = 0 to l - 1 do
-    let r = find st i in
-    let acc =
-      match Hashtbl.find_opt class_meet r with
-      | Some s -> Charset.inter s st.st_doms.(i)
-      | None -> st.st_doms.(i)
-    in
-    Hashtbl.replace class_meet r acc
-  done;
-  for i = 0 to l - 1 do
-    meet st i (Hashtbl.find class_meet (find st i))
-  done
+  if st.merged then begin
+    let l = Array.length st.st_doms in
+    (* indexed by class root; a root is its class's smallest position *)
+    let class_meet = Array.make l Charset.full in
+    for i = 0 to l - 1 do
+      let r = find st i in
+      class_meet.(r) <- Charset.inter class_meet.(r) st.st_doms.(i)
+    done;
+    for i = 0 to l - 1 do
+      meet st i class_meet.(find st i)
+    done
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Transfer functions (one closure per conjunct, re-run to fixpoint)   *)
@@ -122,20 +123,22 @@ let step_contains ~length ~sub st =
    only if some transition on it connects the two. Sound because any
    satisfying string's run visits exactly such state pairs; iterative
    because narrowing one position's domain prunes transitions
-   everywhere else on the next pass. *)
+   everywhere else on the next pass. Each state's transitions come as
+   (target, codes) classes ({!Dfa.out_classes}), so an edge is live at
+   [i] iff its class meets the domain, and the kept set is the union of
+   the classes that join a forward state to a backward one. *)
 let step_regex ~length ~dfa st =
   let n = Dfa.num_states dfa in
+  let out = Array.init n (Dfa.out_classes dfa) in
   let fwd = Array.init (length + 1) (fun _ -> Array.make n false) in
   fwd.(0).(Dfa.start_state dfa) <- true;
   for i = 0 to length - 1 do
+    let dom = st.st_doms.(i) and next = fwd.(i + 1) in
     for s = 0 to n - 1 do
       if fwd.(i).(s) then
-        Charset.iter
-          (fun c ->
-            match Dfa.transition dfa s c with
-            | Some t -> fwd.(i + 1).(t) <- true
-            | None -> ())
-          st.st_doms.(i)
+        List.iter
+          (fun (t, codes) -> if not (Charset.disjoint codes dom) then next.(t) <- true)
+          out.(s)
     done
   done;
   let bwd = Array.init (length + 1) (fun _ -> Array.make n false) in
@@ -143,30 +146,19 @@ let step_regex ~length ~dfa st =
     bwd.(length).(s) <- Dfa.is_accepting dfa s
   done;
   for i = length - 1 downto 0 do
+    let dom = st.st_doms.(i) and later = bwd.(i + 1) in
     for s = 0 to n - 1 do
-      let reach = ref false in
-      Charset.iter
-        (fun c ->
-          match Dfa.transition dfa s c with
-          | Some t -> if bwd.(i + 1).(t) then reach := true
-          | None -> ())
-        st.st_doms.(i);
-      bwd.(i).(s) <- !reach
+      bwd.(i).(s) <-
+        List.exists (fun (t, codes) -> later.(t) && not (Charset.disjoint codes dom)) out.(s)
     done
   done;
   for i = 0 to length - 1 do
+    let later = bwd.(i + 1) in
     let keep = ref Charset.empty in
-    Charset.iter
-      (fun c ->
-        let alive = ref false in
-        for s = 0 to n - 1 do
-          if fwd.(i).(s) then
-            match Dfa.transition dfa s c with
-            | Some t -> if bwd.(i + 1).(t) then alive := true
-            | None -> ()
-        done;
-        if !alive then keep := Charset.add c !keep)
-      st.st_doms.(i);
+    for s = 0 to n - 1 do
+      if fwd.(i).(s) then
+        List.iter (fun (t, codes) -> if later.(t) then keep := Charset.union codes !keep) out.(s)
+    done;
     meet st i !keep
   done
 
@@ -288,6 +280,7 @@ let analyze ?(max_iters = default_max_iters) cs =
         {
           st_doms = Array.make length Charset.full;
           parent = Array.init length (fun i -> i);
+          merged = false;
           st_facts = 0;
           changed = true;
           contradiction = None;
@@ -323,21 +316,23 @@ let analyze ?(max_iters = default_max_iters) cs =
 (* ------------------------------------------------------------------ *)
 (* Consumers: forced bits, findings, telemetry, rendering              *)
 
-let char_bit c k = (Char.code c lsr (6 - k)) land 1
+(* planes.(k) holds the codes whose codec bit [k] (MSB first, so bit
+   [6 - k] of the code) is 1: a domain agrees on that bit iff it lies
+   inside the plane (forced 1) or misses it (forced 0). *)
+let planes =
+  Array.init 7 (fun k ->
+      Charset.of_list
+        (List.filter (fun c -> (Char.code c lsr (6 - k)) land 1 = 1) (List.init 128 Char.chr)))
 
 let forced_bits a =
   let acc = ref [] in
   for i = Array.length a.doms - 1 downto 0 do
     let dom = a.doms.(i) in
     if not (Charset.is_empty dom) then
-      match Charset.choose dom with
-      | None -> ()
-      | Some c0 ->
-        for k = 6 downto 0 do
-          let b = char_bit c0 k in
-          if Charset.for_all (fun c -> char_bit c k = b) dom then
-            acc := ((7 * i) + k, b = 1) :: !acc
-        done
+      for k = 6 downto 0 do
+        if Charset.subset dom planes.(k) then acc := ((7 * i) + k, true) :: !acc
+        else if Charset.disjoint dom planes.(k) then acc := ((7 * i) + k, false) :: !acc
+      done
   done;
   !acc
 

@@ -26,7 +26,7 @@ let to_qubo ?params ?(telemetry = Telemetry.null) c =
     | Constr.Concat parts -> Op_concat.encode ?params parts
     | Constr.Contains { length; substring } -> Op_substring.encode ?params ~length ~substring ()
     | Constr.Includes { haystack; needle } -> Op_includes.encode ?params ~haystack ~needle ()
-    | Constr.Index_of { length; substring; index } ->
+    | Constr.Index_of { length; substring; index; _ } ->
       Op_indexof.encode ?params ~length ~substring ~index ()
     | Constr.Has_length { num_chars; target_length } ->
       Op_length.encode ?params ~num_chars ~target_length ()

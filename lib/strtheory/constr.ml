@@ -8,7 +8,7 @@ type t =
   | Concat of string list
   | Contains of { length : int; substring : string }
   | Includes of { haystack : string; needle : string }
-  | Index_of of { length : int; substring : string; index : int }
+  | Index_of of { length : int; substring : string; index : int; first : bool }
   | Has_length of { num_chars : int; target_length : int }
   | Replace_all of { source : string; find : char; replace : char }
   | Replace_first of { source : string; find : char; replace : char }
@@ -35,7 +35,7 @@ let validate = function
     else if String.length needle > String.length haystack then
       Error "needle longer than haystack"
     else Ok ()
-  | Index_of { length; substring; index } ->
+  | Index_of { length; substring; index; _ } ->
     if not (Ascii7.fits substring) then Error "substring contains non-7-bit characters"
     else if length < 0 then Error "negative length"
     else if String.length substring = 0 then Error "empty substring"
@@ -93,8 +93,11 @@ let verifier c =
     String.length out = length && Semantics.contains out ~sub:substring
   | Includes { haystack; needle }, Pos (Some i) -> Semantics.occurs_at haystack ~sub:needle i
   | Includes _, Pos None -> false
-  | Index_of { length; substring; index }, Str out ->
-    String.length out = length && Semantics.occurs_at out ~sub:substring index
+  | Index_of { length; substring; index; first }, Str out ->
+    String.length out = length
+    &&
+    if first then Semantics.index_of out ~sub:substring = Some index
+    else Semantics.occurs_at out ~sub:substring index
   | Has_length { num_chars; target_length }, Str out ->
     (* Paper bit semantics: first 7·L bits set, remainder clear — i.e.
        target_length DEL characters followed by NULs. *)
@@ -123,8 +126,10 @@ let describe = function
   | Contains { length; substring } ->
     Printf.sprintf "generate a length-%d string containing %S" length substring
   | Includes { haystack; needle } -> Printf.sprintf "find %S within %S" needle haystack
-  | Index_of { length; substring; index } ->
-    Printf.sprintf "generate a length-%d string with %S at index %d" length substring index
+  | Index_of { length; substring; index; first } ->
+    Printf.sprintf "generate a length-%d string with %s%S at index %d" length
+      (if first then "its first " else "")
+      substring index
   | Has_length { num_chars; target_length } ->
     Printf.sprintf "check a %d-char string has length %d (unary bits)" num_chars target_length
   | Replace_all { source; find; replace } ->

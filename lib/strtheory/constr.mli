@@ -18,9 +18,14 @@ type t =
   | Includes of { haystack : string; needle : string }
       (** §4.4: find a start position of [needle] within [haystack]
           (one-hot position variables, first match preferred) *)
-  | Index_of of { length : int; substring : string; index : int }
+  | Index_of of { length : int; substring : string; index : int; first : bool }
       (** §4.5: generate a [length]-character string with [substring]
-          forced at [index], soft constraints elsewhere *)
+          forced at [index], soft constraints elsewhere. [first] asks
+          for SMT-LIB's [str.indexof]: no occurrence starts before
+          [index]. Only {!verify} reads it; the encodings, Absint and
+          decoding treat both forms alike, so the paper's operation
+          ([first = false], any occurrence) and [str.indexof] share one
+          QUBO. *)
   | Has_length of { num_chars : int; target_length : int }
       (** §4.6, paper-faithful: over a [num_chars]-character variable
           string, force the first [7·target_length] bits to 1 and the
@@ -56,7 +61,7 @@ val verify : t -> value -> bool
     is an energy tie-break, not a soundness condition). For
     {!Index_of}, characters outside the forced substring are
     unconstrained, so only length and the occurrence at [index] are
-    checked. For {!Has_length} the check follows the paper's bit-level
+    checked, plus, under [first], that no occurrence starts earlier. For {!Has_length} the check follows the paper's bit-level
     semantics: the first [7·target_length] decoded bits are 1 and the
     rest 0. *)
 

@@ -81,7 +81,7 @@ let assertions ~var c =
     Ok [ assert_ "(str.contains %s %s)" var (str_lit substring); len length ]
   | Constr.Includes { haystack; needle } ->
     Ok [ assert_ "(= %s (str.indexof %s %s 0))" var (str_lit haystack) (str_lit needle) ]
-  | Constr.Index_of { length; substring; index } ->
+  | Constr.Index_of { length; substring; index; _ } ->
     Ok [ assert_ "(= (str.indexof %s %s 0) %d)" var (str_lit substring) index; len length ]
   | Constr.Has_length _ ->
     Error "Has_length uses the paper's unary-bit semantics and has no SMT-LIB counterpart"

@@ -6,10 +6,11 @@
     script → constraint → script round trip is testable.
 
     The rendering targets this repository's compiler conventions:
-    [Index_of] becomes [(= (str.indexof x sub 0) i)] (note the paper's
-    semantics is "occurs at", slightly weaker than SMT-LIB's
-    "first occurrence at" — an exported script is thus at least as
-    strong as the constraint). {!Constr.Has_length} has no standard
+    [Index_of] becomes [(= (str.indexof x sub 0) i)], which compiles
+    back to [Index_of] with [first = true]. The paper's form
+    ([first = false], "occurs at") is slightly weaker than SMT-LIB's
+    "first occurrence at", so its exported script is at least as
+    strong as the constraint. {!Constr.Has_length} has no standard
     counterpart (the paper's unary-bit recipe) and is rejected. *)
 
 val escape_string : string -> string

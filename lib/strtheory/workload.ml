@@ -66,7 +66,7 @@ let rec gen_kind rng kind ~max_length ~plant =
   | K_index_of ->
     let m = 1 + Prng.int rng n in
     let index = Prng.int rng (n - m + 1) in
-    Constr.Index_of { length = n; substring = word rng m; index }
+    Constr.Index_of { length = n; substring = word rng m; index; first = false }
   | K_replace_all ->
     let src = word rng n in
     Constr.Replace_all

@@ -141,6 +141,7 @@ let make sink =
 
 let null = make Null
 let enabled t = match t.sink with Null -> false | _ -> true
+let keeps_events t = match t.sink with Collector _ | Jsonl _ -> true | Null | Aggregate -> false
 let collector () = make (Collector (ref []))
 let aggregate_only () = make Aggregate
 let jsonl oc = make (Jsonl oc)

@@ -55,6 +55,12 @@ val enabled : t -> bool
 (** [false] only for {!null}. Instrumentation sites with a per-iteration
     cost hoist this check out of their loops. *)
 
+val keeps_events : t -> bool
+(** [true] for {!collector} and {!jsonl} handles, the sinks that keep
+    the event stream. {!aggregate_only} and {!null} drop point events,
+    so a site emitting one per iteration (a sweep trajectory) checks
+    this once and skips building events no sink keeps. *)
+
 val collector : unit -> t
 (** In-memory sink; read back with {!events}. *)
 

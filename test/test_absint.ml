@@ -18,6 +18,7 @@ module Telemetry = Qsmt_util.Telemetry
 module Qubo = Qsmt_qubo.Qubo
 module Charset = Qsmt_regex.Charset
 module Rparser = Qsmt_regex.Parser
+module Dfa = Qsmt_regex.Dfa
 module Sampler = Qsmt_anneal.Sampler
 module Sampleset = Qsmt_anneal.Sampleset
 module Constr = Qsmt_strtheory.Constr
@@ -57,7 +58,7 @@ let test_static_sat () =
   (match
      (analyze_exn
         [
-          Constr.Index_of { length = 4; substring = "ab"; index = 0 };
+          Constr.Index_of { length = 4; substring = "ab"; index = 0; first = false };
           Constr.Palindrome { length = 4 };
         ])
        .Absint.verdict
@@ -83,13 +84,13 @@ let test_static_unsat () =
   unsat
     [
       Constr.Palindrome { length = 2 };
-      Constr.Index_of { length = 2; substring = "ab"; index = 0 };
+      Constr.Index_of { length = 2; substring = "ab"; index = 0; first = false };
     ]
     "length-2 palindrome with prefix ab";
   unsat
     [
       Constr.Regex { pattern = Rparser.parse_exn "[ab]+"; length = 3 };
-      Constr.Index_of { length = 3; substring = "c"; index = 1 };
+      Constr.Index_of { length = 3; substring = "c"; index = 1; first = false };
     ]
     "[ab]+ with c pinned inside";
   unsat [ Constr.Equals "ab"; Constr.Equals "ba" ] "two different literal targets";
@@ -163,7 +164,7 @@ let test_widening_cap () =
       Constr.Palindrome { length = 6 };
       Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 5 };
       Constr.Concat [ "hello"; " "; "world" ];
-      Constr.Index_of { length = 6; substring = "hi"; index = 2 };
+      Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false };
       Constr.Includes { haystack = "hello world"; needle = "world" };
     ]
 
@@ -214,7 +215,7 @@ let gen_witness_system =
             return (Constr.Contains { length; substring = sub_at i l }));
            (let* i = int_range 0 (length - 1) in
             let* l = int_range 1 (length - i) in
-            return (Constr.Index_of { length; substring = sub_at i l; index = i }));
+            return (Constr.Index_of { length; substring = sub_at i l; index = i; first = false }));
            return (Constr.Equals s);
          ])
   in
@@ -340,7 +341,7 @@ let test_shrunk_preserves_models () =
               (Constr.describe c))
         (Sampleset.entries on.Solver.samples))
     [
-      Constr.Index_of { length = 6; substring = "hi"; index = 2 };
+      Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false };
       Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 5 };
     ]
 
@@ -366,7 +367,7 @@ let test_joint_static () =
   match
     Joint.solve
       [
-        Constr.Index_of { length = 4; substring = "ab"; index = 0 };
+        Constr.Index_of { length = 4; substring = "ab"; index = 0; first = false };
         Constr.Palindrome { length = 4 };
       ]
   with
@@ -379,6 +380,28 @@ let test_joint_static () =
 
 let qtest ?(count = 200) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+(* Precision of the regex transfer function: for a lone Regex conjunct
+   the fixpoint reaches exactly the projection of the language onto
+   each position, the characters some accepted string of that length
+   holds there (empty everywhere when none has that length). Patterns
+   over {a, b, c} keep the enumeration small. *)
+let gen_lone_regex =
+  let open QCheck2.Gen in
+  let atom = oneofl [ "a"; "b"; "c"; "[ab]"; "[bc]"; "[abc]" ] in
+  let piece = map2 ( ^ ) atom (oneofl [ ""; "*"; "+"; "?" ]) in
+  pair (map (String.concat "") (list_size (int_range 1 4) piece)) (int_range 0 5)
+
+let prop_regex_exact (pat, length) =
+  let pattern = Rparser.parse_exn pat in
+  match Absint.analyze [ Constr.Regex { pattern; length } ] with
+  | Error _ -> true (* not product-form at this length: the pass does not apply *)
+  | Ok a ->
+    let words = Dfa.enumerate ~limit:max_int (Dfa.of_syntax pattern) ~len:length in
+    List.for_all
+      (fun i ->
+        Charset.equal a.Absint.doms.(i) (Charset.of_list (List.map (fun w -> w.[i]) words)))
+      (List.init length Fun.id)
 
 let () =
   Alcotest.run "qsmt_absint"
@@ -402,6 +425,7 @@ let () =
           qtest "witness survives analysis" gen_witness_system prop_witness_sound;
           qtest "witness survives a capped analysis" gen_witness_system
             prop_witness_sound_capped;
+          qtest "a lone regex narrows to its projection" gen_lone_regex prop_regex_exact;
         ] );
       ( "solver",
         [

@@ -4,6 +4,7 @@
 
 module Bitvec = Qsmt_util.Bitvec
 module Prng = Qsmt_util.Prng
+module Telemetry = Qsmt_util.Telemetry
 module Qubo = Qsmt_qubo.Qubo
 module Ising = Qsmt_qubo.Ising
 module Qgraph = Qsmt_qubo.Qgraph
@@ -1421,6 +1422,26 @@ let test_sampler_sweeps_allocate_nothing () =
         ])
     (allocation_problems ())
 
+(* Tracing costs what it records: the sweep observer reads the energy
+   only on the sweeps it emits as [sa.sweep], and builds no events for a
+   sink that drops them, so a solve under [aggregate_only] allocates
+   about what an untraced one does. Boxing every sweep's energy made it
+   156,375 minor words against 12,690. *)
+let test_traced_sweeps_allocate_little () =
+  let q = Compile.to_qubo (Constr.Palindrome { length = 6 }) in
+  let params = { Sa.default with Sa.reads = 32; sweeps = 1000; domains = 1 } in
+  let words telemetry =
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Sa.sample ~params ~telemetry q));
+    Gc.minor_words () -. w0
+  in
+  ignore (words Telemetry.null);
+  let untraced = words Telemetry.null in
+  let traced = words (Telemetry.aggregate_only ()) in
+  if not (traced -. untraced < 5000.) then
+    Alcotest.failf "traced solve: %.0f minor words, untraced %.0f; limit 5000 more" traced
+      untraced
+
 let () =
   Alcotest.run "qsmt_anneal"
     [
@@ -1510,6 +1531,8 @@ let () =
           Alcotest.test_case "read driver contract" `Quick test_read_driver_contract;
           Alcotest.test_case "words per proposal" `Quick test_sampler_words_per_proposal;
           Alcotest.test_case "sweeps allocate nothing" `Quick test_sampler_sweeps_allocate_nothing;
+          Alcotest.test_case "traced sweeps allocate little" `Quick
+            test_traced_sweeps_allocate_little;
         ] );
       ( "portfolio",
         [

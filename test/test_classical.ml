@@ -196,7 +196,7 @@ let test_blast_palindrome () =
   | _ -> Alcotest.fail "expected sat"
 
 let test_blast_indexof () =
-  let c = Constr.Index_of { length = 6; substring = "hi"; index = 2 } in
+  let c = Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false } in
   match solve_constr c with
   | Some (Constr.Str s) -> check Alcotest.string "hi at 2" "hi" (String.sub s 2 2)
   | _ -> Alcotest.fail "expected sat"
@@ -235,7 +235,7 @@ let all_ops =
     Constr.Concat [ "a"; "bc" ];
     Constr.Contains { length = 4; substring = "cat" };
     Constr.Includes { haystack = "abcabc"; needle = "bc" };
-    Constr.Index_of { length = 5; substring = "hi"; index = 1 };
+    Constr.Index_of { length = 5; substring = "hi"; index = 1; first = false };
     Constr.Has_length { num_chars = 3; target_length = 2 };
     Constr.Replace_all { source = "hello"; find = 'l'; replace = 'x' };
     Constr.Replace_first { source = "hello"; find = 'l'; replace = 'x' };

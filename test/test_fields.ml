@@ -448,7 +448,7 @@ let table1 =
     ("palindrome6", Constr.Palindrome { length = 6 });
     ("regex", Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 5 });
     ("concat", Constr.Concat [ "hello"; " "; "world" ]);
-    ("indexof", Constr.Index_of { length = 6; substring = "hi"; index = 2 });
+    ("indexof", Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false });
     ("includes", Constr.Includes { haystack = "hello world"; needle = "world" });
   ]
 

@@ -45,7 +45,7 @@ let table1_ops =
     Constr.Concat [ "ab"; "c" ];
     Constr.Contains { length = 3; substring = "ab" };
     Constr.Includes { haystack = "hello world"; needle = "world" };
-    Constr.Index_of { length = 3; substring = "bc"; index = 1 };
+    Constr.Index_of { length = 3; substring = "bc"; index = 1; first = false };
     Constr.Has_length { num_chars = 3; target_length = 2 };
     Constr.Replace_all { source = "aba"; find = 'a'; replace = 'o' };
     Constr.Replace_first { source = "aba"; find = 'a'; replace = 'o' };
@@ -177,7 +177,7 @@ let test_lint_rejection_not_cached () =
      level rejects it on every query instead of answering the second
      from a cached, unvetted encoding *)
   let session = Incremental.create ~sampler:cheap_sampler ~lint:`Warning ~absint:`Off () in
-  let c = Constr.Index_of { length = 6; substring = "hi"; index = 2 } in
+  let c = Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false } in
   for query = 1 to 2 do
     match Incremental.solve_generate session c with
     | exception Qsmt_strtheory.Lint.Rejected _ -> ()

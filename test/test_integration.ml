@@ -30,6 +30,8 @@ module Interp = Qsmt_smtlib.Interp
 module Parser = Qsmt_smtlib.Parser
 module Typecheck = Qsmt_smtlib.Typecheck
 module Scompile = Qsmt_smtlib.Compile
+module Eval = Qsmt_smtlib.Eval
+module Rparser = Qsmt_regex.Parser
 module Strsolver = Qsmt_classical.Strsolver
 module Brute = Qsmt_classical.Brute
 
@@ -63,7 +65,9 @@ let test_export_compile_roundtrip () =
       Constr.Equals "hi";
       Constr.Contains { length = 4; substring = "cat" };
       Constr.Includes { haystack = "xxcat"; needle = "cat" };
-      Constr.Index_of { length = 5; substring = "hi"; index = 1 };
+      (* the export renders str.indexof, so the round trip is exact for
+         the first-occurrence form *)
+      Constr.Index_of { length = 5; substring = "hi"; index = 1; first = true };
       Constr.Palindrome { length = 4 };
       Constr.Regex { pattern = Qsmt_regex.Parser.parse_exn "a[bc]+"; length = 4 };
     ]
@@ -94,6 +98,86 @@ let test_export_compile_roundtrip () =
       | Scompile.Trivial _ | Scompile.Solved _ ->
         Alcotest.failf "%s compiled away" (Constr.describe c))
     cases
+
+(* One verifier: the constraints the compiler emits from exported
+   scripts accept a string exactly when Eval accepts it as the model of
+   the script's assertions (what [Interp] holds every answer to). Random
+   conjunctions of 1-3 string constraints over one variable, each
+   rendered by [Smtgen], compiled together, and checked on every string
+   over {a, b, c} of the conjunction's length and one longer. An
+   Includes script binds an Int, so it is left out here: its
+   [Constr.verify] accepts any occurrence where Eval wants the first. *)
+let prop_verify_agrees_with_eval =
+  let open QCheck2.Gen in
+  let word n = string_size ~gen:(oneofl [ 'a'; 'b' ]) (return n) in
+  let gen_constr len =
+    oneof
+      [
+        map (fun s -> Constr.Equals s) (word len);
+        (let* cut = int_range 0 len in
+         let* w = word len in
+         return (Constr.Concat [ String.sub w 0 cut; String.sub w cut (len - cut) ]));
+        (let* m = int_range 1 len in
+         let* substring = word m in
+         return (Constr.Contains { length = len; substring }));
+        (let* m = int_range 1 len in
+         let* substring = word m in
+         let* index = int_range 0 (len - m) in
+         let* first = bool in
+         return (Constr.Index_of { length = len; substring; index; first }));
+        (let* source = word len in
+         let* find = oneofl [ 'a'; 'b' ] and* replace = oneofl [ 'a'; 'b'; 'c' ] in
+         oneofl
+           [
+             Constr.Replace_all { source; find; replace };
+             Constr.Replace_first { source; find; replace };
+           ]);
+        map (fun s -> Constr.Reverse s) (word len);
+        return (Constr.Palindrome { length = len });
+        map
+          (fun p -> Constr.Regex { pattern = Rparser.parse_exn p; length = len })
+          (oneofl [ "a[bc]+"; "[ab]+"; "b?a*"; "[a-c]*c"; "ab?" ]);
+      ]
+  in
+  let gen =
+    let* len = int_range 1 4 in
+    let* cs = list_size (int_range 1 3) (gen_constr len) in
+    return (len, List.filter (fun c -> Result.is_ok (Constr.validate c)) cs)
+  in
+  let print (len, cs) =
+    Printf.sprintf "length %d: %s" len (String.concat "; " (List.map Constr.describe cs))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~print ~name:"compiled constraints verify as Eval" gen
+       (fun (len, cs) ->
+         let asserts = List.concat_map (fun c -> ok_exn (Smtgen.assertions ~var:"x" c)) cs in
+         let script = String.concat "\n" ("(declare-const x String)" :: asserts) in
+         let terms =
+           List.filter_map
+             (function Qsmt_smtlib.Ast.Assert t -> Some t | _ -> None)
+             (ok_exn (Parser.parse_script script))
+         in
+         let eval_ok v =
+           List.for_all
+             (fun t -> Eval.term ~model:[ ("x", Eval.V_str v) ] t = Ok (Eval.V_bool true))
+             terms
+         in
+         let rec strings n =
+           if n = 0 then [ "" ]
+           else List.concat_map (fun s -> List.map (fun c -> s ^ String.make 1 c) [ 'a'; 'b'; 'c' ]) (strings (n - 1))
+         in
+         let candidates = strings len @ [ String.make (len + 1) 'a' ] in
+         let agrees emitted =
+           List.for_all
+             (fun v ->
+               List.for_all (fun c -> Constr.verify c (Constr.Str v)) emitted = eval_ok v)
+             candidates
+         in
+         match compile_script script with
+         | Ok (Scompile.Generate { constr; _ }) -> agrees [ constr ]
+         | Ok (Scompile.Generate_joint { conjuncts; _ }) -> agrees conjuncts
+         | Ok (Scompile.Trivial b) -> List.for_all (fun v -> eval_ok v = b) candidates
+         | Ok (Scompile.Solved _ | Scompile.Locate _) | Error _ -> cs = []))
 
 let test_export_solves_for_folding_ops () =
   (* replace/reverse/concat fold to Equals during compilation — the round
@@ -386,6 +470,7 @@ let () =
         [
           Alcotest.test_case "compile roundtrip" `Quick test_export_compile_roundtrip;
           Alcotest.test_case "folding ops solve" `Quick test_export_solves_for_folding_ops;
+          prop_verify_agrees_with_eval;
         ] );
       ( "prefix-suffix",
         [

@@ -26,7 +26,7 @@ let table1 =
     Constr.Palindrome { length = 6 };
     Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 5 };
     Constr.Concat [ "hello"; " "; "world" ];
-    Constr.Index_of { length = 6; substring = "hi"; index = 2 };
+    Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false };
     Constr.Includes { haystack = "hello world"; needle = "world" };
   ]
 
@@ -178,7 +178,7 @@ let test_table1_indexof_warns_by_design () =
   (* The 0.1·A soft bias is the paper's design: detectable, not fatal.
      The linter must call it out as the known shallow-excitation wobble
      (and the non-dyadic 0.1 as an exact-tie info). *)
-  let findings = Lint.lint (Constr.Index_of { length = 6; substring = "hi"; index = 2 }) in
+  let findings = Lint.lint (Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false }) in
   check Alcotest.bool "shallow excitation warned" true (has_check "shallow-excitation" findings);
   check Alcotest.bool "non-dyadic flagged" true (has_check "coefficient-quantum" findings);
   check Alcotest.int "but no errors" 0 (errors findings)
@@ -284,7 +284,7 @@ let test_variable_count_mismatch_is_error () =
 (* gate + telemetry *)
 
 let test_gate_rejects_and_counts () =
-  let constr = Constr.Index_of { length = 6; substring = "hi"; index = 2 } in
+  let constr = Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false } in
   let q = Compile.to_qubo constr in
   let t = Telemetry.aggregate_only () in
   (* warnings present but no errors: `Error admits, `Warning rejects *)
@@ -299,7 +299,7 @@ let test_gate_rejects_and_counts () =
   check Alcotest.bool "severity counters" true (counter "lint.warning" >= 1)
 
 let test_solver_gate_integration () =
-  let constr = Constr.Index_of { length = 6; substring = "hi"; index = 2 } in
+  let constr = Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false } in
   (match Solver.solve ~lint:`Warning constr with
   | _ -> Alcotest.fail "solve should have been stopped by the lint gate"
   | exception Lint.Rejected (c, _) ->

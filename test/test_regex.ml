@@ -67,6 +67,81 @@ let prop_charset_list_roundtrip =
       let dedup = List.sort_uniq compare chars in
       Charset.to_list (Charset.of_list chars) = dedup)
 
+(* The traversals walk set bits; the per-code loop they replaced is
+   the oracle. Sets lean on the word edges (codes 0, 63, 64, 127). *)
+let all_codes = List.init 128 Char.chr
+let members t = List.filter (fun c -> Charset.mem c t) all_codes
+
+let gen_edge_charset =
+  let open QCheck2.Gen in
+  let code = oneof [ oneofl [ 0; 1; 62; 63; 64; 65; 126; 127 ]; int_range 0 127 ] in
+  let listed = map (fun codes -> Charset.of_list (List.map Char.chr codes)) (list_size (int_range 0 40) code) in
+  oneof
+    [
+      oneofl
+        [ Charset.empty; Charset.full; Charset.of_list [ '\000'; '?'; '@'; '\127' ] ];
+      listed;
+      map Charset.complement listed;
+      map2
+        (fun a b -> Charset.of_range (Char.chr (min a b)) (Char.chr (max a b)))
+        code code;
+    ]
+
+let traversals_agree t =
+  let expected = members t in
+  let seen = ref [] in
+  Charset.iter (fun c -> seen := c :: !seen) t;
+  (* for_all must ask the same members, in order, up to the first no *)
+  let ok c = Char.code c mod 5 <> 3 in
+  let asked = ref [] in
+  let all_ok =
+    Charset.for_all
+      (fun c ->
+        asked := c :: !asked;
+        ok c)
+      t
+  in
+  let rec upto_first_no = function
+    | [] -> []
+    | c :: rest -> if ok c then c :: upto_first_no rest else [ c ]
+  in
+  List.rev (Charset.fold (fun c acc -> c :: acc) t []) = expected
+  && List.rev !seen = expected
+  && Charset.to_list t = expected
+  && Charset.choose t = (match expected with [] -> None | c :: _ -> Some c)
+  && Charset.cardinal t = List.length expected
+  && all_ok = List.for_all ok expected
+  && List.rev !asked = upto_first_no expected
+
+let test_charset_traversal_edges () =
+  List.iter
+    (fun (name, t) ->
+      if not (traversals_agree t) then Alcotest.failf "%s: a traversal disagrees with per-code" name)
+    [
+      ("empty", Charset.empty);
+      ("full", Charset.full);
+      ("code 0", Charset.singleton '\000');
+      ("code 63", Charset.singleton '?');
+      ("code 64", Charset.singleton '@');
+      ("code 127", Charset.singleton '\127');
+      ("word edges", Charset.of_list [ '\000'; '?'; '@'; '\127' ]);
+      ("low word full", Charset.of_range '\000' '?');
+      ("high word full", Charset.of_range '@' '\127');
+    ]
+
+let prop_charset_traversals =
+  qtest ~count:500 "traversals equal a per-code loop" gen_edge_charset traversals_agree
+
+let prop_charset_word_tests =
+  qtest ~count:500 "range, disjoint and subset equal per-code"
+    QCheck2.Gen.(triple gen_edge_charset gen_edge_charset (pair (int_range 0 127) (int_range 0 127)))
+    (fun (a, b, (lo, hi)) ->
+      let lo, hi = (min lo hi, max lo hi) in
+      Charset.to_list (Charset.of_range (Char.chr lo) (Char.chr hi))
+      = List.init (hi - lo + 1) (fun i -> Char.chr (lo + i))
+      && Charset.disjoint a b = List.for_all (fun c -> not (Charset.mem c b)) (members a)
+      && Charset.subset a b = List.for_all (fun c -> Charset.mem c b) (members a))
+
 (* ------------------------------------------------------------------ *)
 (* Parser *)
 
@@ -295,6 +370,110 @@ let prop_count_agrees_with_enumeration =
           (fun len ->
             Dfa.count_matching dfa ~len = List.length (Dfa.enumerate ~limit:max_int dfa ~len))
           [ 0; 1; 2; 3 ])
+
+(* The subset construction before byte classes, kept as the oracle for
+   [Dfa.of_nfa]: every subset steps and ε-closes once per code 0..127,
+   depth first, so states are numbered in the order that scan meets
+   them. Returns (rows, accepting, start); row entries are -1 for the
+   dead state. *)
+let per_code_dfa nfa =
+  let ids = Hashtbl.create 16 and rows = ref [] and counter = ref 0 in
+  let rec intern states =
+    match Hashtbl.find_opt ids states with
+    | Some id -> id
+    | None ->
+      let id = !counter in
+      incr counter;
+      Hashtbl.add ids states id;
+      let row = Array.make 128 (-1) in
+      rows := (id, row, List.mem (Nfa.accept nfa) states) :: !rows;
+      for code = 0 to 127 do
+        let next = Nfa.epsilon_closure nfa (Nfa.step nfa states (Char.chr code)) in
+        if next <> [] then row.(code) <- intern next
+      done;
+      id
+  in
+  let start = intern (Nfa.epsilon_closure nfa [ Nfa.start nfa ]) in
+  let trans = Array.make !counter [||] and accepting = Array.make !counter false in
+  List.iter
+    (fun (id, row, acc) ->
+      trans.(id) <- row;
+      accepting.(id) <- acc)
+    !rows;
+  (trans, accepting, start)
+
+(* Per-code count of accepted strings of length [len] (no saturation at
+   the lengths tested). *)
+let per_code_count (trans, accepting, start) len =
+  let counts = ref (Array.map (fun a -> if a then 1 else 0) accepting) in
+  for _ = 1 to len do
+    let prev = !counts in
+    counts :=
+      Array.map
+        (fun row -> Array.fold_left (fun acc next -> if next < 0 then acc else acc + prev.(next)) 0 row)
+        trans
+  done;
+  !counts.(start)
+
+(* Random patterns whose sets overlap (so byte classes split) and reach
+   both words of the bitset. *)
+let gen_syntax =
+  let open QCheck2.Gen in
+  let range lo hi = Charset.of_range (Char.chr lo) (Char.chr hi) in
+  let chars =
+    oneof
+      [
+        map (fun c -> Charset.singleton (Char.chr c)) (oneof [ int_range 95 105; int_range 0 127 ]);
+        map2 (fun a b -> range (min a b) (max a b)) (int_range 90 110) (int_range 90 110);
+        oneofl [ Charset.full; range 0 63; range 60 70; Charset.complement (Charset.of_string "ab") ];
+      ]
+  in
+  sized_size (int_range 0 4)
+  @@ fix (fun self n ->
+         let leaf = map (fun s -> Syntax.Chars s) chars in
+         if n = 0 then oneof [ leaf; return Syntax.Epsilon ]
+         else
+           oneof
+             [
+               leaf;
+               map (fun l -> Syntax.Concat l) (list_size (int_range 1 3) (self (n - 1)));
+               map (fun l -> Syntax.Alt l) (list_size (int_range 1 3) (self (n - 1)));
+               map (fun r -> Syntax.Star r) (self (n - 1));
+               map (fun r -> Syntax.Plus r) (self (n - 1));
+               map (fun r -> Syntax.Opt r) (self (n - 1));
+             ])
+
+let prop_byte_classes_match_per_code =
+  qtest ~count:300 "byte-class DFA = per-code subset construction" gen_syntax (fun r ->
+      let nfa = Nfa.of_syntax r in
+      let dfa = Dfa.of_nfa nfa in
+      let ((trans, accepting, start) as oracle) = per_code_dfa nfa in
+      let n = Array.length trans in
+      let state_agrees s =
+        Dfa.is_accepting dfa s = accepting.(s)
+        && List.for_all
+             (fun c ->
+               Dfa.transition dfa s c
+               = (if trans.(s).(Char.code c) < 0 then None else Some trans.(s).(Char.code c)))
+             all_codes
+        &&
+        (* the out classes regroup exactly the live transitions *)
+        let classes = Dfa.out_classes dfa s in
+        List.for_all
+          (fun c ->
+            let holding = List.filter (fun (_, codes) -> Charset.mem c codes) classes in
+            match (holding, Dfa.transition dfa s c) with
+            | [], None -> true
+            | [ (target, _) ], Some next -> target = next
+            | _ -> false)
+          all_codes
+      in
+      Dfa.num_states dfa = n
+      && Dfa.start_state dfa = start
+      && List.for_all state_agrees (List.init n Fun.id)
+      && List.for_all
+           (fun len -> Dfa.count_matching dfa ~len = per_code_count oracle len)
+           [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ])
 
 (* ------------------------------------------------------------------ *)
 (* Unroll *)
@@ -556,6 +735,9 @@ let () =
           Alcotest.test_case "choose" `Quick test_charset_choose;
           Alcotest.test_case "high codes" `Quick test_charset_high_codes;
           prop_charset_list_roundtrip;
+          Alcotest.test_case "traversals at the word edges" `Quick test_charset_traversal_edges;
+          prop_charset_traversals;
+          prop_charset_word_tests;
         ] );
       ( "parser",
         [
@@ -598,6 +780,7 @@ let () =
           Alcotest.test_case "restrict" `Quick test_restrict;
           Alcotest.test_case "accepts nothing" `Quick test_accepts_nothing;
           prop_count_agrees_with_enumeration;
+          prop_byte_classes_match_per_code;
         ] );
       ( "rep",
         [

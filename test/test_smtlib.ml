@@ -323,9 +323,42 @@ let test_compile_indexof_forced () =
            (assert (= (str.indexof x "hi" 0) 2))
            (assert (= (str.len x) 6))|})
   with
-  | Compile.Generate { constr = Constr.Index_of { length = 6; substring = "hi"; index = 2 }; _ } ->
+  | Compile.Generate { constr = Constr.Index_of { length = 6; substring = "hi"; index = 2; first = true }; _ } ->
     ()
   | _ -> Alcotest.fail "expected Index_of"
+
+(* Each needle's first occurrence has one index, but different needles
+   each have their own: "ba" starts at 0 and so does its first "b". *)
+let test_compile_two_indexofs () =
+  (match
+     ok_exn
+       (compile_script
+          {|(declare-const x String)
+            (assert (= (str.indexof x "b" 0) 0))
+            (assert (= (str.indexof x "ba" 0) 0))
+            (assert (= (str.len x) 2))|})
+   with
+  | Compile.Generate_joint
+      {
+        conjuncts =
+          [
+            Constr.Index_of { substring = "b"; index = 0; first = true; _ };
+            Constr.Index_of { substring = "ba"; index = 0; first = true; _ };
+          ];
+        _;
+      } ->
+    ()
+  | _ -> Alcotest.fail "expected both indexof facts");
+  match
+    ok_exn
+      (compile_script
+         {|(declare-const x String)
+           (assert (= (str.indexof x "b" 0) 0))
+           (assert (= (str.indexof x "b" 0) 1))
+           (assert (= (str.len x) 2))|})
+  with
+  | Compile.Trivial false -> ()
+  | _ -> Alcotest.fail "one needle at two first indices is unsat"
 
 let test_compile_includes () =
   match
@@ -814,6 +847,7 @@ let () =
           Alcotest.test_case "regex infeasible length" `Quick
             test_compile_regex_infeasible_length_unsat;
           Alcotest.test_case "indexof forced" `Quick test_compile_indexof_forced;
+          Alcotest.test_case "two indexof needles" `Quick test_compile_two_indexofs;
           Alcotest.test_case "includes" `Quick test_compile_includes;
           Alcotest.test_case "includes absent" `Quick test_compile_includes_absent_is_solved;
           Alcotest.test_case "palindrome" `Quick test_compile_palindrome;

@@ -243,7 +243,7 @@ let test_indexof_strong_positions () =
   check (Alcotest.float 1e-12) "soft bit" (-0.1) (Qubo.linear q 0)
 
 let test_indexof_solve () =
-  let outcome = Solver.solve ~sampler (Constr.Index_of { length = 6; substring = "hi"; index = 2 }) in
+  let outcome = Solver.solve ~sampler (Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false }) in
   check Alcotest.bool "satisfied" true outcome.Solver.satisfied;
   match outcome.Solver.value with
   | Constr.Str s ->
@@ -430,7 +430,7 @@ let test_constr_num_vars () =
 let test_constr_validate () =
   let bad = Constr.Contains { length = 2; substring = "cat" } in
   (match Constr.validate bad with Error _ -> () | Ok () -> Alcotest.fail "should reject");
-  let bad2 = Constr.Index_of { length = 3; substring = "hi"; index = 2 } in
+  let bad2 = Constr.Index_of { length = 3; substring = "hi"; index = 2; first = false } in
   (match Constr.validate bad2 with Error _ -> () | Ok () -> Alcotest.fail "should reject");
   match Constr.validate (Constr.Equals "ok") with
   | Ok () -> ()
@@ -653,7 +653,7 @@ let test_joint_solve_palindrome_with_index () =
   let conjuncts =
     [
       Constr.Palindrome { length = 4 };
-      Constr.Index_of { length = 4; substring = "ab"; index = 0 };
+      Constr.Index_of { length = 4; substring = "ab"; index = 0; first = false };
     ]
   in
   match Joint.solve ~sampler conjuncts with
@@ -829,7 +829,7 @@ let test_smtgen_script_runs () =
       Constr.Concat [ "a"; "b" ];
       Constr.Contains { length = 4; substring = "cat" };
       Constr.Includes { haystack = "xxcat"; needle = "cat" };
-      Constr.Index_of { length = 5; substring = "hi"; index = 1 };
+      Constr.Index_of { length = 5; substring = "hi"; index = 1; first = false };
       Constr.Replace_all { source = "hello"; find = 'l'; replace = 'x' };
       Constr.Reverse "abc";
       Constr.Palindrome { length = 4 };
