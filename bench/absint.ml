@@ -46,7 +46,7 @@ let table1 =
     Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 5 };
     Constr.Concat [ "hello"; " "; "world" ];
     Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false };
-    Constr.Includes { haystack = "hello world"; needle = "world" };
+    Constr.Includes { haystack = "hello world"; needle = "world"; first = false };
   ]
 
 let corpus = table1 @ Workload.suite ~seed:7 ~max_length:6 ~count:4 ()

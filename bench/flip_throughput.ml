@@ -9,18 +9,13 @@
    Section A times the raw Metropolis proposal kernel (spin-flips/sec,
    naive vs Fields, same seed, same schedule). Section B times one read
    of every sampler: an inline replica of the seed inner loop vs the
-   rewired library code. Section C times the bit-parallel multi-replica
-   kernel (Qsmt_qubo.Multispin, 64 packed replicas) against 64 scalar
-   Fields states, both at a fixed equilibrium beta (replica-sweeps/sec,
-   the kernel-level number like Section A) and through the full
-   annealing-schedule samplers (Sa.run_packed vs Sa.sample).
+   rewired library code.
 
-   Everything is fixed-seed; Sections A/B land in BENCH_2.json and
-   Section C in BENCH_8.json so later PRs have a perf trajectory to
-   regress against. When bench/baselines/BENCH_2.json (a committed full
-   run) is present, the kernel speedups are gated against the recorded
-   trajectory — machine-robust ratios, not absolute throughput — and
-   Section C always gates packed >= scalar on the dense instances.
+   Everything is fixed-seed and lands in BENCH_2.json, so later changes
+   have a perf trajectory to regress against. When
+   bench/baselines/BENCH_2.json (a committed full run) is present, the
+   kernel speedups are gated against the recorded trajectory —
+   machine-robust ratios, not absolute throughput.
 
      dune exec bench/flip_throughput.exe          full run
      QSMT_BENCH_FAST=1 dune exec ...              reduced (CI smoke) run *)
@@ -31,7 +26,6 @@ module Json = Qsmt_trace.Json
 module Qubo = Qsmt_qubo.Qubo
 module Ising = Qsmt_qubo.Ising
 module Fields = Qsmt_qubo.Fields
-module Multispin = Qsmt_qubo.Multispin
 module Schedule = Qsmt_anneal.Schedule
 module Topology = Qsmt_anneal.Topology
 module Spinglass = Qsmt_anneal.Spinglass
@@ -308,124 +302,6 @@ let sampler_times q ising =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Section C: bit-parallel multi-replica kernel (multi-spin coding).
-
-   The scalar side is 64 independent Fields states, each swept by
-   [Fields.metropolis_sweep] (scalar SA's loop); the packed side is one
-   Multispin state whose fused sweep advances all 64 lanes per CSR
-   pass. Both are measured at a fixed equilibrium beta (the cold end of
-   the instance's default schedule) — like Section A, this isolates the
-   kernel: at equilibrium the accept rate is low and the packed side's
-   amortized proposal loop, bulk PRNG and shared exp calls dominate; in
-   the hot phase both sides are bound by the identical
-   per-accepted-flip field updates, which the full-schedule sampler
-   comparison below captures. *)
-
-let replica_lanes = Multispin.max_lanes
-let packed_sweeps = if fast then 40 else 150
-
-(* Both sides are warmed into equilibrium (state construction plus a
-   burn-in from the random starts) before the timer starts: the
-   equilibrium regime is what this measurement isolates, and the hot
-   burn-in transient — where both kernels are bound by the same
-   per-accepted-flip field updates — is the sampler comparison's job. *)
-let multispin_kernel_throughput ising =
-  let n = Ising.num_spins ising in
-  let beta = snd (Schedule.default_beta_range ising) in
-  let betas = [| beta |] in
-  let warmup = packed_sweeps / 2 in
-  let starts rng = Array.init replica_lanes (fun _ -> Bitvec.random rng n) in
-  let timed build sweep =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let rng = Prng.stream ~seed 1 in
-      let state = build rng in
-      for _ = 1 to warmup do
-        sweep rng state
-      done;
-      let t0 = now () in
-      for _ = 1 to packed_sweeps do
-        sweep rng state
-      done;
-      best := Float.min !best (now () -. t0)
-    done;
-    !best
-  in
-  let scalar_t =
-    timed
-      (fun rng -> Array.map (fun s -> Fields.create ising (Bitvec.copy s)) (starts rng))
-      (fun rng fields ->
-        Array.iter (fun f -> ignore (Fields.metropolis_sweep f ~rng ~betas ~sweep:0)) fields)
-  in
-  let packed_t =
-    timed
-      (fun rng ->
-        let ms = Multispin.create ising (starts rng) in
-        (ms, Multispin.draws rng))
-      (fun _ (ms, dr) -> ignore (Multispin.metropolis_sweep ms ~draws:dr ~betas ~sweep:0))
-  in
-  let rsweeps = float_of_int (packed_sweeps * replica_lanes) in
-  (beta, rsweeps /. scalar_t, rsweeps /. packed_t)
-
-(* Full annealing schedule, 64 reads: Sa.sample (one read at a time)
-   against Sa.run_packed (one packed group). Also checks both decode the
-   same best energy ballpark — run_packed's Bucketed mode draws
-   differently, so only the times are compared, not the bits. *)
-let multispin_sampler_times q =
-  let params = { Sa.default with Sa.reads = replica_lanes; sweeps = packed_sweeps * 2; seed } in
-  let scalar_t = best_of (fun () -> ignore (Sa.sample ~params q)) in
-  let packed_t = best_of (fun () -> ignore (Sa.run_packed ~params q)) in
-  (scalar_t, packed_t)
-
-type packed_row = {
-  p_name : string;
-  p_n : int;
-  p_nnz : int;
-  beta : float;
-  scalar_rs : float;  (* replica-sweeps/sec, 64 scalar Fields states *)
-  packed_rs : float;  (* replica-sweeps/sec, one Multispin state *)
-  sampler_scalar_s : float;
-  sampler_packed_s : float;
-  p_minor_words : float; (* GC pressure over the whole instance measurement *)
-  p_major_collections : int;
-}
-
-let packed_json_out rows path =
-  let oc = open_out path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"bench\": \"multispin_throughput\",\n";
-  p "  \"pr\": 8,\n";
-  p "  \"fast\": %b,\n" fast;
-  p "  \"lanes\": %d,\n" replica_lanes;
-  p "  \"fixed_beta_sweeps\": %d,\n" packed_sweeps;
-  p "  \"instances\": [\n";
-  List.iteri
-    (fun k r ->
-      p "    {\n";
-      p "      \"name\": \"%s\",\n" r.p_name;
-      p "      \"n\": %d,\n" r.p_n;
-      p "      \"couplers\": %d,\n" r.p_nnz;
-      p "      \"kernel\": {\n";
-      p "        \"beta\": %.4f,\n" r.beta;
-      p "        \"scalar_replica_sweeps_per_sec\": %.0f,\n" r.scalar_rs;
-      p "        \"packed_replica_sweeps_per_sec\": %.0f,\n" r.packed_rs;
-      p "        \"speedup\": %.2f\n" (r.packed_rs /. r.scalar_rs);
-      p "      },\n";
-      p "      \"sampler\": {\n";
-      p "        \"scalar_64_reads_s\": %.6f,\n" r.sampler_scalar_s;
-      p "        \"packed_64_reads_s\": %.6f,\n" r.sampler_packed_s;
-      p "        \"speedup\": %.2f\n" (r.sampler_scalar_s /. r.sampler_packed_s);
-      p "      },\n";
-      p "      \"gc\": { \"minor_words\": %.0f, \"major_collections\": %d }\n" r.p_minor_words
-        r.p_major_collections;
-      p "    }%s\n" (if k = List.length rows - 1 then "" else ","))
-    rows;
-  p "  ]\n";
-  p "}\n";
-  close_out oc
-
-(* ------------------------------------------------------------------ *)
 (* Baseline-trajectory gate: compare this run's kernel speedups against
    the committed full-run baseline. Absolute throughput is
    machine-specific, so the gate is on speedup ratios with a generous
@@ -564,50 +440,6 @@ let () =
                 got want
               :: !failures)
       rows);
-  (* Section C: packed multi-replica kernel. *)
-  Format.printf "@.multi-spin kernel (%d lanes, fixed-beta sweeps=%d)@." replica_lanes
-    packed_sweeps;
-  let packed_rows =
-    List.map
-      (fun (name, q) ->
-        let ising = Ising.of_qubo q in
-        let g0 = Gc.quick_stat () in
-        let beta, scalar_rs, packed_rs = multispin_kernel_throughput ising in
-        let sampler_scalar_s, sampler_packed_s = multispin_sampler_times q in
-        let g1 = Gc.quick_stat () in
-        Format.printf
-          "  %-18s beta=%-6.2f scalar %7.0f rsweeps/s  packed %7.0f rsweeps/s  speedup %5.2fx  \
-           (sampler %.2fx)@."
-          name beta scalar_rs packed_rs (packed_rs /. scalar_rs)
-          (sampler_scalar_s /. sampler_packed_s);
-        {
-          p_name = name;
-          p_n = Qubo.num_vars q;
-          p_nnz = Qubo.num_interactions q;
-          beta;
-          scalar_rs;
-          packed_rs;
-          sampler_scalar_s;
-          sampler_packed_s;
-          p_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-          p_major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
-        })
-      instances
-  in
-  packed_json_out packed_rows "BENCH_8.json";
-  Format.printf "wrote BENCH_8.json@.";
-  (* The dense instances are where multi-spin coding must win: one CSR
-     pass is amortized over 64 lanes of real work. Sparse rows are too
-     short to amortize, so chimera is reported but not gated. *)
-  List.iter
-    (fun r ->
-      if String.length r.p_name >= 5 && String.sub r.p_name 0 5 = "dense" && r.packed_rs < r.scalar_rs
-      then
-        failures :=
-          Printf.sprintf "%s: packed kernel slower than scalar (%.0f < %.0f rsweeps/s)" r.p_name
-            r.packed_rs r.scalar_rs
-          :: !failures)
-    packed_rows;
   match !failures with
   | [] -> ()
   | fs ->

@@ -199,7 +199,8 @@ let table1_rows =
     };
     {
       label = "Find the position of 'world' within 'hello world' (string includes)";
-      run = run_single (Constr.Includes { haystack = "hello world"; needle = "world" });
+      run =
+        run_single (Constr.Includes { haystack = "hello world"; needle = "world"; first = false });
       expected = Some "position 6";
       paper_output = "(operation from Sec. 4.4)";
     };
@@ -239,7 +240,7 @@ let figure1 () =
       Constr.Reverse "hello";
       Constr.Palindrome { length = 6 };
       Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 5 };
-      Constr.Includes { haystack = "hello world"; needle = "world" };
+      Constr.Includes { haystack = "hello world"; needle = "world"; first = false };
     ]
   in
   Format.printf "%-55s %6s %10s %10s %10s %9s %6s  %s@." "constraint" "vars" "encode" "anneal"
@@ -309,7 +310,7 @@ let ext2_samplers () =
       Constr.Equals "quantum";
       Constr.Palindrome { length = 8 };
       Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 8 };
-      Constr.Includes { haystack = "abcabcabcabc"; needle = "cab" };
+      Constr.Includes { haystack = "abcabcabcabc"; needle = "cab"; first = false };
     ]
   in
   let samplers =
@@ -421,7 +422,7 @@ let ext3 () =
     lengths;
   subheader "constraints where completeness matters";
   (* CDCL proves unsat; the annealer cannot *)
-  let absent = Constr.Includes { haystack = "aaaaaaa"; needle = "xyz" } in
+  let absent = Constr.Includes { haystack = "aaaaaaa"; needle = "xyz"; first = false } in
   let o, dt = time_it (fun () -> Strsolver.solve absent) in
   Format.printf "%-46s CDCL: %s in %.1fms (annealer: cannot prove unsat)@."
     (Constr.describe absent)
@@ -492,11 +493,13 @@ let ext4 () =
   subheader "chain strength sweep (noise 0, pinned strength; then the adaptive loop)";
   List.iter chain_strength_sweep
     [
-      ("includes-k7", Constr.Includes { haystack = "hello world"; needle = "world" });
-      ("includes-k7-dense", Constr.Includes { haystack = "abcabcabc"; needle = "abc" });
+      ( "includes-k7",
+        Constr.Includes { haystack = "hello world"; needle = "world"; first = false } );
+      ( "includes-k7-dense",
+        Constr.Includes { haystack = "abcabcabc"; needle = "abc"; first = false } );
       ("palindrome-6", Constr.Palindrome { length = 6 });
     ];
-  let constr = Constr.Includes { haystack = "abcabcabc"; needle = "abc" } in
+  let constr = Constr.Includes { haystack = "abcabcabc"; needle = "abc"; first = false } in
   let qubo = Compile.to_qubo constr in
   let topology = Topology.chimera ~m:3 () in
   subheader "control-noise sweep (auto chain strength)";
@@ -583,7 +586,7 @@ let ext6 () =
       Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false };
       Constr.Palindrome { length = 6 };
       Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 6 };
-      Constr.Includes { haystack = "abcabcabc"; needle = "abc" };
+      Constr.Includes { haystack = "abcabcabc"; needle = "abc"; first = false };
     ];
   Format.printf
     "@.(diagonal-only encodings collapse entirely: preprocessing alone solves them;@.\
@@ -681,7 +684,8 @@ let ext9 () =
       ("regex a[bc]+ 5", Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 5 });
       ("concat hello world", Constr.Concat [ "hello"; " "; "world" ]);
       ("indexof hi@2 len6", Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false });
-      ("includes world", Constr.Includes { haystack = "hello world"; needle = "world" });
+      ( "includes world",
+        Constr.Includes { haystack = "hello world"; needle = "world"; first = false } );
     ]
   in
   let seed = 5 in
@@ -770,7 +774,8 @@ let bechamel_section () =
       Test.make ~name:"table1/row5-indexof"
         (Staged.stage (solve (Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false })));
       Test.make ~name:"table1/row6-includes"
-        (Staged.stage (solve (Constr.Includes { haystack = "hello world"; needle = "world" })));
+        (Staged.stage
+           (solve (Constr.Includes { haystack = "hello world"; needle = "world"; first = false })));
       (* figure 1 stages in isolation *)
       Test.make ~name:"fig1/encode-only"
         (Staged.stage (fun () -> ignore (Compile.to_qubo (Constr.Reverse "hello world"))));
@@ -792,7 +797,10 @@ let bechamel_section () =
         (Staged.stage (fun () ->
              ignore (Strsolver.solve (Constr.Contains { length = 8; substring = "cat" }))));
       Test.make ~name:"ext4/embed-includes-K5"
-        (let qubo = Compile.to_qubo (Constr.Includes { haystack = "abcabca"; needle = "abc" }) in
+        (let qubo =
+           Compile.to_qubo
+             (Constr.Includes { haystack = "abcabca"; needle = "abc"; first = false })
+         in
          let problem = Qsmt_qubo.Qgraph.of_qubo qubo in
          let hardware = Topology.graph (Topology.chimera ~m:2 ()) in
          Staged.stage (fun () ->

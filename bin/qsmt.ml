@@ -61,17 +61,6 @@ let sweeps_arg =
 let domains_arg =
   Arg.(value & opt int 1 & info [ "domains" ] ~docv:"N" ~doc:"Parallel domains for reads.")
 
-let packed_arg =
-  Arg.(
-    value & flag
-    & info [ "packed" ]
-        ~doc:
-          "Run simulated annealing through the bit-parallel multi-spin kernel: reads are packed \
-           64 to a machine word, so one memory pass per sweep advances a whole group of reads. \
-           With $(b,--sampler sa) the annealer itself switches kernels; with $(b,--sampler \
-           portfolio) an $(b,sa_packed) member joins the race. Other samplers ignore the flag \
-           (SQA and PT already run packed internally at their default widths).")
-
 let jobs_arg =
   Arg.(
     value & opt int 0
@@ -383,17 +372,16 @@ let with_telemetry ~trace ~metrics ?(metrics_out = None) ?(progress = false) ?tt
     summarize t (f t)
   | None -> f Telemetry.null
 
-(* The sampler every solving command takes, from its 12 flags. [None]
+(* The sampler every solving command takes, from its 11 flags. [None]
    is [--sampler classical]: CDCL bit-blasting is a different solver
    family, not a sampler, and an earlier revision silently handed such
    requests to [Sampler.exact]. *)
 let sampler_term =
-  let build kind seed reads sweeps domains packed jobs budget topology topology_size
+  let build kind seed reads sweeps domains jobs budget topology topology_size
       chain_strength noise =
     let sa = { Sa.default with Sa.seed; reads; sweeps; domains } in
     match kind with
     | `Classical -> None
-    | `Sa when packed -> Some (Sampler.simulated_annealing_packed ~params:sa ())
     | `Sa -> Some (Sampler.simulated_annealing ~params:sa ())
     | `Sqa ->
       Some
@@ -426,21 +414,14 @@ let sampler_term =
                noise_sigma = noise;
                anneal = sa }))
     | `Portfolio ->
-      let members = Portfolio.default_members ~seed in
-      let members =
-        (* The packed racer takes the reads knob (it shines at high read
-           counts); like every member its internal parallelism stays
-           off. *)
-        if packed then
-          members
-          @ [ Sampler.simulated_annealing_packed ~params:{ sa with Sa.domains = 1 } () ]
-        else members
-      in
-      Some (Portfolio.sampler ~params:{ Portfolio.members; jobs; budget } ())
+      Some
+        (Portfolio.sampler
+           ~params:{ Portfolio.members = Portfolio.default_members ~seed; jobs; budget }
+           ())
   in
   Term.(
-    const build $ sampler_arg $ seed_arg $ reads_arg $ sweeps_arg $ domains_arg $ packed_arg
-    $ jobs_arg $ budget_arg $ topology_arg $ topology_size_arg $ chain_strength_arg $ noise_arg)
+    const build $ sampler_arg $ seed_arg $ reads_arg $ sweeps_arg $ domains_arg $ jobs_arg
+    $ budget_arg $ topology_arg $ topology_size_arg $ chain_strength_arg $ noise_arg)
 
 (* ------------------------------------------------------------------ *)
 (* operation parsing for `gen` and `matrix` *)
@@ -455,7 +436,7 @@ let constraint_of_op op args =
   | "contains", [ len; sub ] ->
     let* length = int len in
     Ok (Constr.Contains { length; substring = sub })
-  | "includes", [ haystack; needle ] -> Ok (Constr.Includes { haystack; needle })
+  | "includes", [ haystack; needle ] -> Ok (Constr.Includes { haystack; needle; first = false })
   | "indexof", [ len; sub; idx ] ->
     let* length = int len in
     let* index = int idx in
@@ -675,7 +656,7 @@ let table1_constraints () =
     Constr.Regex { pattern; length = 5 };
     Constr.Concat [ "hello"; " "; "world" ];
     Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false };
-    Constr.Includes { haystack = "hello world"; needle = "world" };
+    Constr.Includes { haystack = "hello world"; needle = "world"; first = false };
   ]
 
 (* Solve units of an SMT-LIB script: the conjunct list the assertion
@@ -1400,17 +1381,13 @@ let metrics_cmd =
 
 let samplers_action () =
   print_endline "sa         simulated annealing (D-Wave neal equivalent; the paper's solver)";
-  print_endline
-    "           (--packed runs reads 64-to-a-word through the multi-spin kernel)";
   print_endline "sqa        simulated quantum annealing (path-integral Monte Carlo)";
   print_endline "tabu       tabu search";
   print_endline "greedy     steepest-descent with restarts";
   print_endline "exact      exhaustive ground-state search (<= 30 variables)";
   print_endline
     "hardware   QPU-workflow emulation: minor embedding, chain penalties, control noise";
-  print_endline
-    "portfolio  race sa/sqa/pt/tabu/greedy concurrently; first verified read wins (--packed adds \
-     an sa_packed member)";
+  print_endline "portfolio  race sa/sqa/pt/tabu/greedy concurrently; first verified read wins";
   print_endline "classical  CDCL SAT solver over bit-blasted constraints (complete)";
   0
 

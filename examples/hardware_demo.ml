@@ -22,7 +22,7 @@ let () =
      graph is a complete graph over the candidate positions — the worst
      case for a sparse topology and the constraint that actually forces
      multi-qubit chains. *)
-  let constr = Constr.Includes { haystack = "abcabcabc"; needle = "abc" } in
+  let constr = Constr.Includes { haystack = "abcabcabc"; needle = "abc"; first = false } in
   let qubo = Compile.to_qubo constr in
   Format.printf "logical problem : %s -> %a@." (Constr.describe constr) Qubo.pp qubo;
 

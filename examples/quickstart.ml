@@ -22,7 +22,7 @@ let () =
       Constr.Replace_all { source = "hello"; find = 'l'; replace = 'x' };
       Constr.Palindrome { length = 6 };
       Constr.Regex { pattern = Qsmt_regex.Parser.parse_exn "a[bc]+"; length = 5 };
-      Constr.Includes { haystack = "hello world"; needle = "world" };
+      Constr.Includes { haystack = "hello world"; needle = "world"; first = false };
     ]
   in
   List.iter

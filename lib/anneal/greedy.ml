@@ -46,6 +46,6 @@ let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null
         let start = match init with Some b -> Bitvec.copy b | None -> Bitvec.random rng n in
         let fields = Fields.create ising start in
         descend_fields fields;
-        [| (Fields.spins fields, Fields.energy fields) |]
+        (Fields.spins fields, Fields.energy fields)
       in
       { Reads.sweeps = 0; proposals = n; read })

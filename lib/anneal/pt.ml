@@ -137,7 +137,7 @@ let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null
                   if swaps > 0 then Telemetry.count telemetry "pt.replica_swaps" swaps
                 end)
         in
-        [| run_read ~ising ~params ~betas ?init ?stop ?on_sweep rng |]
+        run_read ~ising ~params ~betas ?init ?stop ?on_sweep rng
       in
       (* one PT sweep proposes a flip per spin per replica rung *)
       { Reads.sweeps = params.sweeps; proposals = Ising.num_spins ising * params.replicas; read })

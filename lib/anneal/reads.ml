@@ -8,7 +8,7 @@ module Ising = Qsmt_qubo.Ising
 type plan = {
   sweeps : int;
   proposals : int;
-  read : int -> Bitvec.t option -> (Bitvec.t * float) array;
+  read : int -> Bitvec.t option -> Bitvec.t * float;
 }
 
 let sweep_stride sweeps = max 1 (sweeps / 32)
@@ -37,24 +37,23 @@ let run ~who ~name ~jobs ~domains ?init ?stop ?on_read ~telemetry q prepare =
       match on_read with Some f -> f bits | None -> ()
     in
     let job j =
-      if stopped () then [||]
+      if stopped () then None
       else begin
         let out = plan.read j (if j = 0 then init else None) in
-        Array.iter deliver out;
-        out
+        deliver out;
+        Some out
       end
     in
     let t0 = if tracked then Mclock.now () else 0. in
     let outs = Parallel.init_array ~telemetry ~domains jobs job in
+    let reads = List.filter_map Fun.id (Array.to_list outs) in
     (if tracked && plan.sweeps > 0 then
        let dt = Mclock.now () -. t0 in
-       let sweeps_done =
-         float_of_int (plan.sweeps * Array.fold_left (fun a o -> a + Array.length o) 0 outs)
-       in
+       let sweeps_done = float_of_int (plan.sweeps * List.length reads) in
        if dt > 0. && sweeps_done > 0. then begin
          Telemetry.gauge telemetry (name ^ ".sweeps_per_s") (sweeps_done /. dt);
          Telemetry.gauge telemetry (name ^ ".flips_per_s")
            (sweeps_done *. float_of_int plan.proposals /. dt)
        end);
-    Sampleset.of_tracked q (List.concat_map Array.to_list (Array.to_list outs))
+    Sampleset.of_tracked q reads
   end

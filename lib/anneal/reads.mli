@@ -1,33 +1,32 @@
 (** The multi-read driver every heuristic sampler runs through.
 
     D-Wave's samplers answer one problem with many independent reads;
-    SA, packed SA, SQA, PT, tabu and greedy all share that contract, so
-    it lives here once. A sampler supplies a {!plan}: how to run one
-    job (one read, or one packed group of up to 64 reads) from its own
-    PRNG streams. The driver owns everything around it.
+    SA, SQA, PT, tabu and greedy all share that contract, so it lives
+    here once. A sampler supplies a {!plan}: how to run one read from
+    its own PRNG stream. The driver owns everything around it.
 
     {b The read contract.}
     - [init] must have one bit per problem variable, or {!run} raises.
-      It warm-starts job 0 only (reverse-anneal style); every other job
-      keeps its random start, so the set stays diverse. Passing [init]
-      changes the PRNG draw sequence, so warm and cold runs are not
-      sample-for-sample comparable.
+      It warm-starts read 0 only (reverse-anneal style); every other
+      read keeps its random start, so the set stays diverse. Passing
+      [init] changes the PRNG draw sequence, so warm and cold runs are
+      not sample-for-sample comparable.
     - A zero-variable problem answers with one empty assignment.
     - [stop] is a cooperative cancellation flag. The driver polls it
-      before each job starts and skips unstarted jobs once it returns
-      [true]; samplers also poll it inside a job (between sweeps, or
-      every 64 tabu iterations) and return the read they have. The set
-      may then hold fewer reads than asked, or none.
-    - [on_read] observes each returned read's bits, in job order within
-      a job. Early exit ({!Sampler.run}'s [early_exit], the portfolio
-      race) verifies decodes there and trips [stop].
+      before each read starts and skips unstarted reads once it returns
+      [true]; samplers also poll it inside a read (between sweeps, or
+      every 64 tabu iterations) and return the assignment they have.
+      The set may then hold fewer reads than asked, or none.
+    - [on_read] observes each returned read's bits as the read ends.
+      Early exit ({!Sampler.run}'s [early_exit], the portfolio race)
+      verifies decodes there and trips [stop].
     - Without [stop]/[on_read] the result is a pure function of the
       sampler's parameters, independent of [domains]: each read owns a
       PRNG stream derived from the seed and its index.
 
     {b Telemetry.} Per returned read, [<name>.reads] and (when the plan
     has sweeps) [<name>.sweeps] count up and [<name>.read_energy]
-    observes its energy, before [on_read] sees it. After all jobs, a
+    observes its energy, before [on_read] sees it. After all reads, a
     plan with sweeps sets the [<name>.sweeps_per_s] and
     [<name>.flips_per_s] gauges (flips = attempted proposals, sweeps ×
     proposals per sweep). The counts are nominal: a read cut short by
@@ -39,10 +38,10 @@ type plan = {
       (** sweeps per read; [0] for a sampler with no sweep loop (greedy),
           which then gets no sweeps counter and no gauges *)
   proposals : int;  (** flip proposals per sweep, for [flips_per_s] *)
-  read : int -> Qsmt_util.Bitvec.t option -> (Qsmt_util.Bitvec.t * float) array;
-      (** [read job init] runs one job and returns its reads with their
-          QUBO energies (offset included); [init] is [Some] only for
-          job 0 *)
+  read : int -> Qsmt_util.Bitvec.t option -> Qsmt_util.Bitvec.t * float;
+      (** [read r init] runs read [r] and returns its assignment with
+          its QUBO energy (offset included); [init] is [Some] only for
+          read 0 *)
 }
 
 val run :
@@ -59,9 +58,9 @@ val run :
   Sampleset.t
 (** [run ~who ~name ~jobs ~domains q prepare] checks [init], answers a
     zero-variable [q] directly, and otherwise calls [prepare] once on
-    [Ising.of_qubo q] and runs [jobs] jobs of the plan over
+    [Ising.of_qubo q] and runs [jobs] reads of the plan over
     {!Qsmt_util.Parallel.init_array} with [domains]. The result holds
-    every returned read, in job order. [name] prefixes the telemetry
+    every returned read, in read order. [name] prefixes the telemetry
     names; [who] prefixes error messages.
     @raise Invalid_argument ["<who>: init has %d bits, problem has %d vars"]
     on a wrong-length [init]. *)

@@ -40,43 +40,6 @@ val sample :
     @raise Invalid_argument on [reads < 1], [sweeps < 1] or an [init] of
     the wrong length. *)
 
-type packed_mode =
-  | Bucketed
-      (** Fast path: one bulk PRNG stream per 64-read group; accept
-          decisions for all lanes come from geometric octave bucketing
-          ({!Qsmt_qubo.Multispin.accept_mask}). Exact Metropolis
-          marginals, but a different draw sequence than {!sample}. *)
-  | Lockstep
-      (** Parity path: each lane consumes its own per-read stream with
-          the scalar sweep's exact conditional-draw discipline
-          ({!Qsmt_qubo.Multispin.accept_mask_lockstep}); decoded samples
-          are bit-identical to {!sample}'s (with [postprocess] off).
-          Slower — this is the oracle-check vehicle, not the perf
-          path. *)
-
-val run_packed :
-  ?params:params ->
-  ?mode:packed_mode ->
-  ?init:Qsmt_util.Bitvec.t ->
-  ?stop:(unit -> bool) ->
-  ?on_read:(Qsmt_util.Bitvec.t -> unit) ->
-  ?telemetry:Qsmt_util.Telemetry.t ->
-  Qsmt_qubo.Qubo.t ->
-  Sampleset.t
-(** Multi-read SA through the bit-parallel {!Qsmt_qubo.Multispin}
-    kernel: reads are packed 64 to a word-parallel state ([reads] not a
-    multiple of 64 leaves the last group with masked tail lanes), so one
-    CSR pass per site per sweep advances a whole group. Each group is one
-    {!Reads} job, so [init] reaches lane 0 of group 0, [stop] is polled
-    before each group and between its sweeps, and [on_read] sees every
-    decoded lane. Starts come from the same per-read streams as
-    {!sample}, and [postprocess] runs the same descent per decoded lane.
-    [mode] defaults to {!Bucketed}. [domains] parallelises across groups,
-    so it only helps past 64 reads. Telemetry: strided [sa.packed_sweep]
-    events (group, lanes, sweep, β, best tracked energy, acceptance
-    across lanes) plus the same [sa.*] aggregates as {!sample}, counted
-    per lane. *)
-
 val anneal_ising :
   rng:Qsmt_util.Prng.t ->
   schedule:Schedule.t ->

@@ -60,10 +60,6 @@ let rec simulated_annealing ?(params = Sa.default) () =
   of_reads "sa" (Sa.sample ~params) (fun seed ->
       simulated_annealing ~params:{ params with Sa.seed } ())
 
-let rec simulated_annealing_packed ?(params = Sa.default) () =
-  of_reads "sa_packed" (Sa.run_packed ~params ~mode:Sa.Bucketed) (fun seed ->
-      simulated_annealing_packed ~params:{ params with Sa.seed } ())
-
 let rec simulated_quantum_annealing ?(params = Sqa.default) () =
   of_reads "sqa" (Sqa.sample ~params) (fun seed ->
       simulated_quantum_annealing ~params:{ params with Sqa.seed } ())

@@ -37,8 +37,8 @@ val run :
     [verify] by itself is consumed only by {!Portfolio.sampler}s (see
     {!Portfolio.run}); every other sampler ignores it, keeping their
     output deterministic. With [early_exit] (default [false]) the
-    samplers that read through {!Reads} (SA, packed SA, SQA, PT, tabu,
-    greedy) and the hardware path additionally stop at their next poll
+    samplers that read through {!Reads} (SA, SQA, PT, tabu, greedy)
+    and the hardware path additionally stop at their next poll
     point once any read verifies — the incremental solver's warm
     re-solves opt in, cold solves keep the exhaustive deterministic
     sample sets.
@@ -71,12 +71,6 @@ val make : name:string -> (Qsmt_qubo.Qubo.t -> Sampleset.t) -> t
     and failure modes). {!with_seed} leaves such samplers unchanged. *)
 
 val simulated_annealing : ?params:Sa.params -> unit -> t
-
-val simulated_annealing_packed : ?params:Sa.params -> unit -> t
-(** {!Sa.run_packed}: the same multi-read SA through the bit-parallel
-    multi-spin kernel — reads are packed 64 to a word, so high-reads
-    workloads pay one CSR pass per site per sweep for the whole group.
-    Named ["sa_packed"]. *)
 
 val simulated_quantum_annealing : ?params:Sqa.params -> unit -> t
 val tabu : ?params:Tabu.params -> unit -> t

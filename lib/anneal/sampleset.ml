@@ -54,11 +54,6 @@ let of_tracked q samples =
          { bits; energy; occurrences = 1 })
        samples)
 
-let of_multispin q ms =
-  let module Multispin = Qsmt_qubo.Multispin in
-  of_tracked q
-    (List.init (Multispin.lanes ms) (fun l -> (Multispin.lane_spins ms l, Multispin.energy ms l)))
-
 let empty = []
 let is_empty t = t = []
 let size = List.length

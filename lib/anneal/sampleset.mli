@@ -30,13 +30,6 @@ val of_tracked : Qsmt_qubo.Qubo.t -> (Qsmt_util.Bitvec.t * float) list -> t
     agreement with full recomputation to ~1e-9 (tested).
     @raise Invalid_argument if any assignment has the wrong length. *)
 
-val of_multispin : Qsmt_qubo.Qubo.t -> Qsmt_qubo.Multispin.t -> t
-(** [of_multispin q ms] decodes every lane of a packed multi-replica
-    state into one read each, using the lanes' tracked energies (which
-    are [q]-energies, offset included, when [ms] was built over
-    [Ising.of_qubo q]) — {!of_tracked} over a gathered {!Qsmt_qubo.Multispin.t}.
-    @raise Invalid_argument if the lane length does not match [q]. *)
-
 val empty : t
 val is_empty : t -> bool
 

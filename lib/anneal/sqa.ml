@@ -184,7 +184,7 @@ let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null
                       ("replica_spread", Telemetry.Float spread);
                     ])
         in
-        [| run_read ~ising ~params ~beta ~gamma_hot ?init ?stop ?on_sweep rng |]
+        run_read ~ising ~params ~beta ~gamma_hot ?init ?stop ?on_sweep rng
       in
       (* one SQA sweep proposes a flip per spin per Trotter slice *)
       { Reads.sweeps = params.sweeps; proposals = Ising.num_spins ising * params.trotter; read })

@@ -106,7 +106,7 @@ let sample ?(params = default) ?init ?stop ?on_read ?(telemetry = Telemetry.null
                       ("best", Telemetry.Float best);
                     ])
         in
-        [| search ising ~rng ~iterations:params.iterations ~tenure ?init ?stop ?on_iter () |]
+        search ising ~rng ~iterations:params.iterations ~tenure ?init ?stop ?on_iter ()
       in
       (* a tabu iteration scans all n candidate moves and flips one, so
          an iteration is the analogue of one sweep of proposals *)

@@ -39,12 +39,18 @@ let encode_contains ~length ~substring =
   done;
   Cnf.create ~num_vars:(bits + positions) !clauses
 
-let encode_includes ~haystack ~needle =
+(* Under [first] only the first occurrence stays admissible, so the one
+   model left is the one [Constr.verify] accepts. *)
+let encode_includes ~haystack ~needle ~first =
   let n = String.length haystack and m = String.length needle in
   let positions = n - m + 1 in
+  let admissible p =
+    if first then Semantics.index_of haystack ~sub:needle = Some p
+    else Semantics.occurs_at haystack ~sub:needle p
+  in
   let clauses = ref (Cnf.exactly_one (List.init positions (fun p -> p))) in
   for p = 0 to positions - 1 do
-    if not (Semantics.occurs_at haystack ~sub:needle p) then clauses := [ Cnf.neg p ] :: !clauses
+    if not (admissible p) then clauses := [ Cnf.neg p ] :: !clauses
   done;
   Cnf.create ~num_vars:positions !clauses
 
@@ -137,7 +143,7 @@ let encode c =
     let s = Semantics.reverse source in
     Cnf.create ~num_vars:(max 1 (7 * String.length s)) (fixed_string_clauses s)
   | Constr.Contains { length; substring } -> encode_contains ~length ~substring
-  | Constr.Includes { haystack; needle } -> encode_includes ~haystack ~needle
+  | Constr.Includes { haystack; needle; first } -> encode_includes ~haystack ~needle ~first
   | Constr.Index_of { length; substring; index; _ } -> encode_indexof ~length ~substring ~index
   | Constr.Has_length { num_chars; target_length } -> encode_has_length ~num_chars ~target_length
   | Constr.Palindrome { length } -> encode_palindrome ~length
@@ -145,7 +151,7 @@ let encode c =
 
 let decode c model =
   match c with
-  | Constr.Includes { haystack; needle } ->
+  | Constr.Includes { haystack; needle; _ } ->
     let positions = String.length haystack - String.length needle + 1 in
     let rec first p =
       if p >= positions then None else if Bitvec.get model p then Some p else first (p + 1)

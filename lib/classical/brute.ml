@@ -14,7 +14,7 @@ let string_length_of = function
 
 let solve ~alphabet ?(limit = 1_000_000) constr =
   match constr with
-  | Constr.Includes { haystack; needle } ->
+  | Constr.Includes { haystack; needle; _ } ->
     let positions = String.length haystack - String.length needle + 1 in
     let rec go p =
       if p >= positions then None

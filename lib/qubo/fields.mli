@@ -85,8 +85,8 @@ val metropolis_sweep : t -> rng:Qsmt_util.Prng.t -> betas:float array -> sweep:i
     boxed value. β is read from the array in place (a [float] argument
     would be boxed by every caller in another module), and an uphill
     delta equal to the previous one reuses its [exp], which yields the
-    same value. A fixed β is [~betas:[| beta |] ~sweep:0]. The scalar
-    twin of {!Multispin.metropolis_sweep}, and scalar SA's inner loop.
+    same value. A fixed β is [~betas:[| beta |] ~sweep:0]. This is SA's
+    one kernel: its inner loop.
     @raise Invalid_argument if [sweep] is out of [betas]' bounds. *)
 
 val refresh : t -> unit

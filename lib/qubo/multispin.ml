@@ -22,12 +22,10 @@ type t = {
   words : int array; (* 2 per site: [2i] = low 32 lanes, [2i+1] = high 32 *)
   field : float array; (* lane-major per site: f_L(i) at [i * lanes + L] *)
   energy : float array; (* one tracked H(s) per lane *)
-  refresh_every : int; (* accepted lane-flips between refreshes; 0 = never *)
-  mutable flips : int;
   (* Per-state scratch (a state lives on one domain, like Fields): *)
   lane_buf : int array; (* set lanes of a mask, ascending *)
   sign_buf : float array; (* 2 * new_sign per set lane *)
-  x_buf : float array; (* per-lane scaled delta beta*delta, bucketed accept only *)
+  x_buf : float array; (* per-lane scaled delta beta*delta *)
   min_x : float array; (* one cell: the smallest x_buf entry, settle_geometric's input *)
   mutable acc_lo : int; (* settle_geometric's result halves: fields, not a tuple, *)
   mutable acc_hi : int; (* so a settled site allocates nothing *)
@@ -114,8 +112,7 @@ let recompute t =
         done
       end
     done
-  done;
-  t.flips <- 0
+  done
 
 let pack t spins_array =
   Array.iteri
@@ -125,7 +122,6 @@ let pack t spins_array =
           (Printf.sprintf "Multispin: lane %d has %d spins, problem has %d" l (Bitvec.length s)
              t.n))
     spins_array;
-  Array.fill t.words 0 (Array.length t.words) 0;
   for i = 0 to t.n - 1 do
     let lo = ref 0 and hi = ref 0 in
     Array.iteri
@@ -137,11 +133,7 @@ let pack t spins_array =
     t.words.((2 * i) + 1) <- !hi
   done
 
-let create ?(refresh_every = 0) ising spins_array =
-  if refresh_every < 0 then
-    invalid_arg
-      (Printf.sprintf "Multispin: refresh_every %d is negative (0 means never refresh)"
-         refresh_every);
+let create ising spins_array =
   let lanes = Array.length spins_array in
   if lanes < 1 || lanes > max_lanes then
     invalid_arg (Printf.sprintf "Multispin: %d lanes outside [1,%d]" lanes max_lanes);
@@ -160,8 +152,6 @@ let create ?(refresh_every = 0) ising spins_array =
       words = Array.make (max 1 (2 * n)) 0;
       field = Array.make (max 1 (n * lanes)) 0.;
       energy = Array.make lanes 0.;
-      refresh_every;
-      flips = 0;
       lane_buf = Array.make lanes 0;
       sign_buf = Array.make lanes 0.;
       x_buf = Array.make lanes 0.;
@@ -174,12 +164,8 @@ let create ?(refresh_every = 0) ising spins_array =
   recompute t;
   t
 
-let problem t = t.ising
-let num_spins t = t.n
-let lanes t = t.lanes
 let lane_mask t = join64 t.lane_lo t.lane_hi
 let energy t l = t.energy.(l)
-let energies t = Array.copy t.energy
 let field t i l = t.field.((i * t.lanes) + l)
 
 let best_lane t =
@@ -194,14 +180,6 @@ let lane_spins t l =
     invalid_arg (Printf.sprintf "Multispin.lane_spins: lane %d outside [0,%d)" l t.lanes);
   if l < 32 then Bitvec.init t.n (fun i -> (t.words.(2 * i) lsr l) land 1 = 1)
   else Bitvec.init t.n (fun i -> (t.words.((2 * i) + 1) lsr (l - 32)) land 1 = 1)
-
-let reset t spins_array =
-  if Array.length spins_array <> t.lanes then
-    invalid_arg
-      (Printf.sprintf "Multispin.reset: %d assignments for %d lanes" (Array.length spins_array)
-         t.lanes);
-  pack t spins_array;
-  recompute t
 
 let refresh t = recompute t
 
@@ -235,11 +213,13 @@ let drift t =
 (* ------------------------------------------------------------------ *)
 (* Word-wide flip *)
 
-(* Applies a native-halves flip mask at site [i]; returns the number of
-   flipped lanes. The masks must already be restricted to live lanes. *)
-let flip_halves t i mlo mhi =
-  if mlo lor mhi = 0 then 0
-  else begin
+(* The mask is split into native halves and restricted to live lanes;
+   each flipped lane folds its delta into its energy, then one CSR-row
+   pass updates the flipped lanes' neighbor fields. *)
+let flip t i mask =
+  let mlo, mhi = split64 mask in
+  let mlo = mlo land t.lane_lo and mhi = mhi land t.lane_hi in
+  if mlo lor mhi <> 0 then begin
     let lanes = t.lanes in
     let base = i * lanes in
     let ilo = t.words.(2 * i) and ihi = t.words.((2 * i) + 1) in
@@ -261,15 +241,8 @@ let flip_halves t i mlo mhi =
         Array.unsafe_set t.field slot
           (Array.unsafe_get t.field slot +. (v *. Array.unsafe_get t.sign_buf idx))
       done
-    done;
-    t.flips <- t.flips + c;
-    if t.refresh_every > 0 && t.flips >= t.refresh_every then recompute t;
-    c
+    done
   end
-
-let flip t i mask =
-  let mlo, mhi = split64 mask in
-  ignore (flip_halves t i (mlo land t.lane_lo) (mhi land t.lane_hi))
 
 (* ------------------------------------------------------------------ *)
 (* Bulk Metropolis acceptance *)
@@ -295,10 +268,10 @@ let ln2_steps = Array.init 64 (fun g -> float_of_int g *. ln2)
 (* Bulk-draw state: a nested xoshiro128++ held in four native ints,
    seeded from the caller's [Prng.t] (two bits64 draws), so runs stay
    deterministic in the usual stream discipline. Every draw is
-   allocation-free 32-bit native arithmetic, inlined into the sweep
-   below. [Prng] no longer boxes either; this generator stays because
-   its stream defines the packed samples — replacing it would change
-   every bucketed [Sa.run_packed] result. *)
+   allocation-free 32-bit native arithmetic, inlined into the accept
+   path below. [Prng] no longer boxes either; this generator stays
+   because its stream defines SQA's and PT's samples — replacing it
+   would change every one of them. *)
 type draws = { mutable d0 : int; mutable d1 : int; mutable d2 : int; mutable d3 : int }
 
 let draws rng =
@@ -446,72 +419,3 @@ let accept_mask t ~draws:d ?only ~betas deltas =
   t.min_x.(0) <- !min_x;
   settle_geometric t ~d ~rem_lo:!rem_lo ~rem_hi:!rem_hi ~acc_lo:!acc_lo ~acc_hi:!acc_hi;
   join64 t.acc_lo t.acc_hi
-
-(* Branchless per-lane sign select: indexing a 2-entry float array by
-   the spin bit avoids a data-dependent branch the predictor cannot
-   learn (the pattern is the spin configuration itself). *)
-let neg2_of_bit = [| 2.; -2. |]
-
-(* Whole-sweep fused path: deltas, bucketed acceptance and the flip are
-   one pass per site with no packing/unpacking at the API boundary and
-   no intermediate delta buffer — what [Sa.run_packed]'s fast path runs.
-   Uniform beta across lanes, [betas.(sweep)] (a β schedule step, read
-   in place like Fields.metropolis_sweep's). Returns accepted
-   lane-flips. *)
-let metropolis_sweep t ~draws:d ~betas ~sweep =
-  let beta = betas.(sweep) in
-  let lanes = t.lanes in
-  let accepted = ref 0 in
-  let top = if lanes < 32 then lanes - 1 else 31 in
-  for i = 0 to t.n - 1 do
-    let base = i * lanes in
-    let ilo = Array.unsafe_get t.words (2 * i) and ihi = Array.unsafe_get t.words ((2 * i) + 1) in
-    let acc_lo = ref 0 and acc_hi = ref 0 in
-    let rem_lo = ref 0 and rem_hi = ref 0 in
-    let min_x = ref infinity in
-    for l = 0 to top do
-      (* -2s, branchlessly: bit 1 -> -2., bit 0 -> +2. *)
-      let ns = Array.unsafe_get neg2_of_bit ((ilo lsr l) land 1) in
-      let x = beta *. (ns *. Array.unsafe_get t.field (base + l)) in
-      if x <= 0. then acc_lo := !acc_lo lor (1 lsl l)
-      else begin
-        Array.unsafe_set t.x_buf l x;
-        min_x := Float.min !min_x x;
-        rem_lo := !rem_lo lor (1 lsl l)
-      end
-    done;
-    for l = 32 to lanes - 1 do
-      let ns = Array.unsafe_get neg2_of_bit ((ihi lsr (l - 32)) land 1) in
-      let x = beta *. (ns *. Array.unsafe_get t.field (base + l)) in
-      if x <= 0. then acc_hi := !acc_hi lor (1 lsl (l - 32))
-      else begin
-        Array.unsafe_set t.x_buf l x;
-        min_x := Float.min !min_x x;
-        rem_hi := !rem_hi lor (1 lsl (l - 32))
-      end
-    done;
-    t.min_x.(0) <- !min_x;
-    settle_geometric t ~d ~rem_lo:!rem_lo ~rem_hi:!rem_hi ~acc_lo:!acc_lo ~acc_hi:!acc_hi;
-    accepted := !accepted + flip_halves t i t.acc_lo t.acc_hi
-  done;
-  !accepted
-
-(* Lockstep acceptance: lane L consumes draws from rngs.(L) with exactly
-   the scalar sweep's conditional-draw discipline and float expressions,
-   so a lane's trajectory is bit-identical to a scalar read running on
-   Fields with the same stream. *)
-let accept_mask_lockstep t ~rngs ~betas deltas =
-  let lanes = t.lanes in
-  let acc_lo = ref 0 and acc_hi = ref 0 in
-  let top = if lanes < 32 then lanes - 1 else 31 in
-  for l = 0 to top do
-    let d = deltas.(l) in
-    if d <= 0. || Prng.float rngs.(l) < Float.exp (-.betas.(l) *. d) then
-      acc_lo := !acc_lo lor (1 lsl l)
-  done;
-  for l = 32 to lanes - 1 do
-    let d = deltas.(l) in
-    if d <= 0. || Prng.float rngs.(l) < Float.exp (-.betas.(l) *. d) then
-      acc_hi := !acc_hi lor (1 lsl (l - 32))
-  done;
-  join64 !acc_lo !acc_hi

@@ -332,7 +332,7 @@ let locate_of_spec v spec =
          QUBO cannot express — answer classically. *)
       Ok (Solved { var = v; value = Eval.V_int (-1) })
     | Some _ when String.length needle = 0 -> Ok (Solved { var = v; value = Eval.V_int 0 })
-    | Some _ -> Ok (Locate { var = v; constr = Constr.Includes { haystack; needle } })
+    | Some _ -> Ok (Locate { var = v; constr = Constr.Includes { haystack; needle; first = true } })
   end
   | _ -> Error (Printf.sprintf "unsupported constraints on Int variable %s" v)
 

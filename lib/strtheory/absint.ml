@@ -237,8 +237,8 @@ let verdict_of st cs =
 let analyze ?(max_iters = default_max_iters) cs =
   match cs with
   | [] -> Error "Absint.analyze: empty conjunction"
-  | [ Constr.Includes { haystack; needle } ] ->
-    let* () = Constr.validate (Constr.Includes { haystack; needle }) in
+  | [ (Constr.Includes { haystack; needle; _ } as c) ] ->
+    let* () = Constr.validate c in
     Ok
       {
         length = String.length haystack;

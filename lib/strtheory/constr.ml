@@ -7,7 +7,7 @@ type t =
   | Equals of string
   | Concat of string list
   | Contains of { length : int; substring : string }
-  | Includes of { haystack : string; needle : string }
+  | Includes of { haystack : string; needle : string; first : bool }
   | Index_of of { length : int; substring : string; index : int; first : bool }
   | Has_length of { num_chars : int; target_length : int }
   | Replace_all of { source : string; find : char; replace : char }
@@ -29,7 +29,7 @@ let validate = function
     else if String.length substring > length then Error "substring longer than the string"
     else if String.length substring = 0 then Error "empty substring"
     else Ok ()
-  | Includes { haystack; needle } ->
+  | Includes { haystack; needle; _ } ->
     if not (Ascii7.fits haystack && Ascii7.fits needle) then Error "non-7-bit characters"
     else if String.length needle = 0 then Error "empty needle"
     else if String.length needle > String.length haystack then
@@ -74,7 +74,7 @@ let num_vars c =
   | Contains { length; _ } | Index_of { length; _ } | Palindrome { length } | Regex { length; _ }
     ->
     7 * length
-  | Includes { haystack; needle } -> String.length haystack - String.length needle + 1
+  | Includes { haystack; needle; _ } -> String.length haystack - String.length needle + 1
   | Has_length { num_chars; _ } -> 7 * num_chars
   | Replace_all { source; _ } | Replace_first { source; _ } -> 7 * String.length source
 
@@ -91,7 +91,9 @@ let verifier c =
   | Concat parts, Str out -> out = Semantics.concat parts
   | Contains { length; substring }, Str out ->
     String.length out = length && Semantics.contains out ~sub:substring
-  | Includes { haystack; needle }, Pos (Some i) -> Semantics.occurs_at haystack ~sub:needle i
+  | Includes { haystack; needle; first }, Pos (Some i) ->
+    if first then Semantics.index_of haystack ~sub:needle = Some i
+    else Semantics.occurs_at haystack ~sub:needle i
   | Includes _, Pos None -> false
   | Index_of { length; substring; index; first }, Str out ->
     String.length out = length
@@ -125,7 +127,8 @@ let describe = function
   | Concat parts -> Printf.sprintf "concatenate %s" (String.concat " + " (List.map (Printf.sprintf "%S") parts))
   | Contains { length; substring } ->
     Printf.sprintf "generate a length-%d string containing %S" length substring
-  | Includes { haystack; needle } -> Printf.sprintf "find %S within %S" needle haystack
+  | Includes { haystack; needle; first } ->
+    Printf.sprintf "find %s%S within %S" (if first then "the first " else "") needle haystack
   | Index_of { length; substring; index; first } ->
     Printf.sprintf "generate a length-%d string with %s%S at index %d" length
       (if first then "its first " else "")

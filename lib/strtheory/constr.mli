@@ -15,9 +15,12 @@ type t =
           [substring]. NOTE the paper's overwrite semantics: the encoder
           writes the substring at every start position, later writes
           overwriting earlier ones. *)
-  | Includes of { haystack : string; needle : string }
+  | Includes of { haystack : string; needle : string; first : bool }
       (** §4.4: find a start position of [needle] within [haystack]
-          (one-hot position variables, first match preferred) *)
+          (one-hot position variables, first match preferred). [first]
+          asks for SMT-LIB's [str.indexof]: the position must be the
+          first occurrence. Only {!verify} and the bit-blaster read it;
+          the QUBO, Absint and decoding treat both forms alike. *)
   | Index_of of { length : int; substring : string; index : int; first : bool }
       (** §4.5: generate a [length]-character string with [substring]
           forced at [index], soft constraints elsewhere. [first] asks
@@ -58,7 +61,8 @@ val verify : t -> value -> bool
 (** Classical satisfaction check. A [Str] for {!Includes} or a [Pos] for
     a string-producing constraint is never satisfied. For {!Includes},
     any valid occurrence position is accepted (the first-match preference
-    is an energy tie-break, not a soundness condition). For
+    is an energy tie-break, not a soundness condition), or under [first]
+    only the first occurrence. For
     {!Index_of}, characters outside the forced substring are
     unconstrained, so only length and the occurrence at [index] are
     checked, plus, under [first], that no occurrence starts earlier. For {!Has_length} the check follows the paper's bit-level

@@ -79,7 +79,7 @@ let assertions ~var c =
     Ok [ assert_ "(= %s (str.++ %s))" var (String.concat " " (List.map str_lit parts)) ]
   | Constr.Contains { length; substring } ->
     Ok [ assert_ "(str.contains %s %s)" var (str_lit substring); len length ]
-  | Constr.Includes { haystack; needle } ->
+  | Constr.Includes { haystack; needle; _ } ->
     Ok [ assert_ "(= %s (str.indexof %s %s 0))" var (str_lit haystack) (str_lit needle) ]
   | Constr.Index_of { length; substring; index; _ } ->
     Ok [ assert_ "(= (str.indexof %s %s 0) %d)" var (str_lit substring) index; len length ]

@@ -62,7 +62,7 @@ let rec gen_kind rng kind ~max_length ~plant =
       end
       else word rng m
     in
-    Constr.Includes { haystack = hay; needle }
+    Constr.Includes { haystack = hay; needle; first = false }
   | K_index_of ->
     let m = 1 + Prng.int rng n in
     let index = Prng.int rng (n - m + 1) in

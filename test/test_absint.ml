@@ -67,7 +67,7 @@ let test_static_sat () =
   | _ -> Alcotest.fail "prefix + palindrome should be fully determined");
   (* a single Includes is decided through Semantics.index_of *)
   match
-    (analyze_exn [ Constr.Includes { haystack = "hello world"; needle = "world" } ])
+    (analyze_exn [ Constr.Includes { haystack = "hello world"; needle = "world"; first = false } ])
       .Absint.verdict
   with
   | Absint.V_sat (Constr.Pos (Some i)) -> check Alcotest.int "includes" 6 i
@@ -94,7 +94,7 @@ let test_static_unsat () =
     ]
     "[ab]+ with c pinned inside";
   unsat [ Constr.Equals "ab"; Constr.Equals "ba" ] "two different literal targets";
-  unsat [ Constr.Includes { haystack = "hello"; needle = "xyz" } ] "includes miss";
+  unsat [ Constr.Includes { haystack = "hello"; needle = "xyz"; first = false } ] "includes miss";
   (* disagreeing fixed lengths refute the conjunction (the joint solver
      reports its own error before asking; the analyzer itself proves it
      for qsmt analyze) *)
@@ -165,7 +165,7 @@ let test_widening_cap () =
       Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 5 };
       Constr.Concat [ "hello"; " "; "world" ];
       Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false };
-      Constr.Includes { haystack = "hello world"; needle = "world" };
+      Constr.Includes { haystack = "hello world"; needle = "world"; first = false };
     ]
 
 let test_forced_bits_shape () =
@@ -280,7 +280,7 @@ let test_static_fast_path () =
 let test_static_unsat_outcome () =
   let outcome =
     Solver.solve ~sampler:poisoned_sampler
-      (Constr.Includes { haystack = "hello"; needle = "xyz" })
+      (Constr.Includes { haystack = "hello"; needle = "xyz"; first = false })
   in
   Alcotest.(check bool) "not satisfied" false outcome.Solver.satisfied;
   check Alcotest.int "zero reads" 0 (Sampleset.total_reads outcome.Solver.samples);

@@ -1253,7 +1253,6 @@ let test_init_length_validation () =
         (fun () -> ignore (f ())))
     [
       ("Sa.sample", fun () -> Sa.sample ~init:bad q);
-      ("Sa.run_packed", fun () -> Sa.run_packed ~init:bad q);
       ("Sqa.sample", fun () -> Sqa.sample ~init:bad q);
       ("Pt.sample", fun () -> Pt.sample ~init:bad q);
       ("Tabu.sample", fun () -> Tabu.sample ~init:bad q);
@@ -1263,8 +1262,7 @@ let test_init_length_validation () =
 (* The read contract of [Reads], checked once per sampler that reads
    through it (and for the hardware path, which reads through SA). Each
    row builds the sampler at a given [domains]; [budget] is its read
-   count. sa_packed asks for 70 reads: one full 64-lane group plus a
-   masked tail group. *)
+   count. *)
 let test_read_driver_contract () =
   let q = target_qubo "101101" in
   let ground = Bitvec.of_string "101101" in
@@ -1274,10 +1272,6 @@ let test_read_driver_contract () =
       ( "sa", 16,
         fun domains ->
           Sampler.simulated_annealing ~params:{ sa_params with Sa.domains } () );
-      ( "sa_packed", 70,
-        fun domains ->
-          Sampler.simulated_annealing_packed
-            ~params:{ sa_params with Sa.reads = 70; domains } () );
       ( "sqa", 8,
         fun domains ->
           Sampler.simulated_quantum_annealing
@@ -1367,59 +1361,42 @@ let allocation_problems () =
     );
   ]
 
-(* The allocation gate: minor words per flip proposal of one sampler
-   call (one domain, telemetry off), a deterministic count. Neither SA
-   sweep allocates, so what remains is per-read and per-solve setup; the
-   packed row counts lane-proposals (0.006 and 0.005 measured here, where
-   a boxed float per boundary-octave lane once made it 0.29). *)
+(* The allocation gate: minor words per flip proposal of one SA call
+   (8 reads, one domain, telemetry off), a deterministic count. The
+   sweep allocates nothing, so what remains is per-read and per-solve
+   setup. *)
 let test_sampler_words_per_proposal () =
-  let sweeps = 500 in
-  let problems = allocation_problems () in
-  let rows =
-    [
-      ("Sa.sample", 8, 0.25, fun params q -> Sa.sample ~params q);
-      ("Sa.run_packed", 64, 0.02, fun params q -> Sa.run_packed ~params q);
-    ]
-  in
+  let reads = 8 and sweeps = 500 in
   List.iter
     (fun (problem, q) ->
-      List.iter
-        (fun (who, reads, limit, run) ->
-          let params = { Sa.default with Sa.reads; sweeps; domains = 1 } in
-          let w0 = Gc.minor_words () in
-          ignore (Sys.opaque_identity (run params q));
-          let words = Gc.minor_words () -. w0 in
-          let per_proposal = words /. float_of_int (reads * sweeps * Qubo.num_vars q) in
-          if not (per_proposal < limit) then
-            Alcotest.failf "%s on %s: %.3f minor words per proposal, limit %g" who problem
-              per_proposal limit)
-        rows)
-    problems
+      let params = { Sa.default with Sa.reads; sweeps; domains = 1 } in
+      let w0 = Gc.minor_words () in
+      ignore (Sys.opaque_identity (Sa.sample ~params q));
+      let words = Gc.minor_words () -. w0 in
+      let per_proposal = words /. float_of_int (reads * sweeps * Qubo.num_vars q) in
+      if not (per_proposal < 0.25) then
+        Alcotest.failf "Sa.sample on %s: %.3f minor words per proposal, limit 0.25" problem
+          per_proposal)
+    (allocation_problems ())
 
 (* A sweep allocates nothing: 500 more sweeps per read cost only the
    longer schedule's once-per-solve setup (1,000 words). One boxed float
-   per sweep would be 8,000 words for 8 scalar reads; the packed sweep's
-   64 lanes once cost ~1,000 words per sweep on palindrome 8. *)
+   per sweep would be 8,000 words for 8 reads. *)
 let test_sampler_sweeps_allocate_nothing () =
-  let words run reads sweeps q =
-    let params = { Sa.default with Sa.reads; sweeps; domains = 1 } in
+  let words sweeps q =
+    let params = { Sa.default with Sa.reads = 8; sweeps; domains = 1 } in
     let w0 = Gc.minor_words () in
-    ignore (Sys.opaque_identity (run ~params q));
+    ignore (Sys.opaque_identity (Sa.sample ~params q));
     Gc.minor_words () -. w0
   in
   List.iter
     (fun (problem, q) ->
-      List.iter
-        (fun (who, reads, run) ->
-          ignore (words run reads 500 q);
-          let extra = words run reads 1000 q -. words run reads 500 q in
-          if not (extra < 2000.) then
-            Alcotest.failf "%s on %s: %d reads x 500 extra sweeps cost %.0f minor words, limit 2000"
-              who problem reads extra)
-        [
-          ("Sa.sample", 8, fun ~params q -> Sa.sample ~params q);
-          ("Sa.run_packed", 64, fun ~params q -> Sa.run_packed ~params q);
-        ])
+      ignore (words 500 q);
+      let extra = words 1000 q -. words 500 q in
+      if not (extra < 2000.) then
+        Alcotest.failf
+          "Sa.sample on %s: 8 reads x 500 extra sweeps cost %.0f minor words, limit 2000" problem
+          extra)
     (allocation_problems ())
 
 (* Tracing costs what it records: the sweep observer reads the energy

@@ -176,18 +176,28 @@ let test_blast_contains_is_sound () =
   | _ -> Alcotest.fail "expected sat string"
 
 let test_blast_includes_position () =
-  let c = Constr.Includes { haystack = "xxcatx"; needle = "cat" } in
+  let c = Constr.Includes { haystack = "xxcatx"; needle = "cat"; first = false } in
   match solve_constr c with
   | Some (Constr.Pos (Some 2)) -> ()
   | Some v -> Alcotest.failf "wrong position: %s" (Format.asprintf "%a" Constr.pp_value v)
   | None -> Alcotest.fail "expected sat"
 
 let test_blast_includes_absent_unsat () =
-  let c = Constr.Includes { haystack = "xxxxx"; needle = "cat" } in
+  let c = Constr.Includes { haystack = "xxxxx"; needle = "cat"; first = false } in
   let cnf = Bitblast.encode c in
   match Cdcl.solve cnf with
   | Cdcl.Unsat, _ -> ()
   | _ -> Alcotest.fail "no occurrence must be unsat"
+
+(* Under [first] the one-hot models are the first occurrence alone, the
+   position [Constr.verify] accepts; without it, every occurrence. *)
+let test_blast_includes_first () =
+  let models first =
+    let cnf = Bitblast.encode (Constr.Includes { haystack = "abababab"; needle = "ab"; first }) in
+    List.filter (fun p -> Cnf.eval cnf (Bitvec.init 7 (fun b -> b = p))) (List.init 7 Fun.id)
+  in
+  check Alcotest.(list int) "first occurrence only" [ 0 ] (models true);
+  check Alcotest.(list int) "any occurrence" [ 0; 2; 4; 6 ] (models false)
 
 let test_blast_palindrome () =
   let c = Constr.Palindrome { length = 5 } in
@@ -234,7 +244,7 @@ let all_ops =
     Constr.Equals "ab";
     Constr.Concat [ "a"; "bc" ];
     Constr.Contains { length = 4; substring = "cat" };
-    Constr.Includes { haystack = "abcabc"; needle = "bc" };
+    Constr.Includes { haystack = "abcabc"; needle = "bc"; first = false };
     Constr.Index_of { length = 5; substring = "hi"; index = 1; first = false };
     Constr.Has_length { num_chars = 3; target_length = 2 };
     Constr.Replace_all { source = "hello"; find = 'l'; replace = 'x' };
@@ -266,7 +276,7 @@ let test_strsolver_outcome () =
     (o.Strsolver.cnf_vars > 0 && o.Strsolver.cnf_clauses > 0)
 
 let test_strsolver_unsat () =
-  let o = Strsolver.solve (Constr.Includes { haystack = "aaa"; needle = "b" }) in
+  let o = Strsolver.solve (Constr.Includes { haystack = "aaa"; needle = "b"; first = false }) in
   check Alcotest.bool "unsat" true (o.Strsolver.result = `Unsat);
   check Alcotest.bool "no value" true (o.Strsolver.value = None)
 
@@ -298,7 +308,10 @@ let test_brute_contains () =
   | None -> Alcotest.fail "expected a solution"
 
 let test_brute_includes () =
-  match Brute.solve ~alphabet:lowercase (Constr.Includes { haystack = "xxhix"; needle = "hi" }) with
+  match
+    Brute.solve ~alphabet:lowercase
+      (Constr.Includes { haystack = "xxhix"; needle = "hi"; first = false })
+  with
   | Some (Constr.Pos (Some 2)) -> ()
   | _ -> Alcotest.fail "expected position 2"
 
@@ -329,7 +342,7 @@ let test_brute_agrees_with_cdcl () =
         check Alcotest.bool "sat verifies" true (Constr.verify c sv))
     [
       Constr.Contains { length = 3; substring = "ab" };
-      Constr.Includes { haystack = "abab"; needle = "ba" };
+      Constr.Includes { haystack = "abab"; needle = "ba"; first = false };
       Constr.Palindrome { length = 2 };
     ]
 
@@ -418,6 +431,7 @@ let () =
           Alcotest.test_case "contains sound" `Quick test_blast_contains_is_sound;
           Alcotest.test_case "includes position" `Quick test_blast_includes_position;
           Alcotest.test_case "includes absent unsat" `Quick test_blast_includes_absent_unsat;
+          Alcotest.test_case "includes first" `Quick test_blast_includes_first;
           Alcotest.test_case "palindrome" `Quick test_blast_palindrome;
           Alcotest.test_case "indexof" `Quick test_blast_indexof;
           Alcotest.test_case "regex via DFA (alternation)" `Quick test_blast_regex_exact_dfa;

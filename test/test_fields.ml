@@ -449,7 +449,7 @@ let table1 =
     ("regex", Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 5 });
     ("concat", Constr.Concat [ "hello"; " "; "world" ]);
     ("indexof", Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false });
-    ("includes", Constr.Includes { haystack = "hello world"; needle = "world" });
+    ("includes", Constr.Includes { haystack = "hello world"; needle = "world"; first = false });
   ]
 
 let regression_samplers =

@@ -44,7 +44,7 @@ let table1_ops =
     Constr.Equals "hi";
     Constr.Concat [ "ab"; "c" ];
     Constr.Contains { length = 3; substring = "ab" };
-    Constr.Includes { haystack = "hello world"; needle = "world" };
+    Constr.Includes { haystack = "hello world"; needle = "world"; first = false };
     Constr.Index_of { length = 3; substring = "bc"; index = 1; first = false };
     Constr.Has_length { num_chars = 3; target_length = 2 };
     Constr.Replace_all { source = "aba"; find = 'a'; replace = 'o' };
@@ -317,7 +317,7 @@ let test_session_joint () =
   | _ -> Alcotest.fail "sat conjunction must stay sat");
   match
     Strsolver.Session.solve_joint session
-      [ Constr.Includes { haystack = "ab"; needle = "a" } ]
+      [ Constr.Includes { haystack = "ab"; needle = "a"; first = false } ]
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "Includes is not joint-encodable"

@@ -64,9 +64,9 @@ let test_export_compile_roundtrip () =
     [
       Constr.Equals "hi";
       Constr.Contains { length = 4; substring = "cat" };
-      Constr.Includes { haystack = "xxcat"; needle = "cat" };
       (* the export renders str.indexof, so the round trip is exact for
-         the first-occurrence form *)
+         the first-occurrence forms *)
+      Constr.Includes { haystack = "xxcat"; needle = "cat"; first = true };
       Constr.Index_of { length = 5; substring = "hi"; index = 1; first = true };
       Constr.Palindrome { length = 4 };
       Constr.Regex { pattern = Qsmt_regex.Parser.parse_exn "a[bc]+"; length = 4 };
@@ -100,13 +100,14 @@ let test_export_compile_roundtrip () =
     cases
 
 (* One verifier: the constraints the compiler emits from exported
-   scripts accept a string exactly when Eval accepts it as the model of
+   scripts accept a value exactly when Eval accepts it as the model of
    the script's assertions (what [Interp] holds every answer to). Random
-   conjunctions of 1-3 string constraints over one variable, each
-   rendered by [Smtgen], compiled together, and checked on every string
-   over {a, b, c} of the conjunction's length and one longer. An
-   Includes script binds an Int, so it is left out here: its
-   [Constr.verify] accepts any occurrence where Eval wants the first. *)
+   conjunctions of 1-3 string constraints over one String variable,
+   each rendered by [Smtgen], compiled together, and checked on every
+   string over {a, b, c} of the conjunction's length and one longer; or
+   one Includes, whose script binds an Int to [str.indexof] of a
+   haystack over {a, b} and a needle cut from it, checked at every
+   position from -1 to one past the haystack's end. *)
 let prop_verify_agrees_with_eval =
   let open QCheck2.Gen in
   let word n = string_size ~gen:(oneofl [ 'a'; 'b' ]) (return n) in
@@ -139,45 +140,63 @@ let prop_verify_agrees_with_eval =
           (oneofl [ "a[bc]+"; "[ab]+"; "b?a*"; "[a-c]*c"; "ab?" ]);
       ]
   in
-  let gen =
+  let gen_strings =
     let* len = int_range 1 4 in
     let* cs = list_size (int_range 1 3) (gen_constr len) in
     return (len, List.filter (fun c -> Result.is_ok (Constr.validate c)) cs)
   in
+  let gen_includes =
+    let* len = int_range 1 6 in
+    let* haystack = word len in
+    let* start = int_range 0 (len - 1) in
+    let* m = int_range 1 (len - start) in
+    let needle = String.sub haystack start m in
+    return (len, [ Constr.Includes { haystack; needle; first = false } ])
+  in
+  let gen = frequency [ (3, gen_strings); (1, gen_includes) ] in
   let print (len, cs) =
     Printf.sprintf "length %d: %s" len (String.concat "; " (List.map Constr.describe cs))
   in
   QCheck_alcotest.to_alcotest
     (QCheck2.Test.make ~count:300 ~print ~name:"compiled constraints verify as Eval" gen
        (fun (len, cs) ->
-         let asserts = List.concat_map (fun c -> ok_exn (Smtgen.assertions ~var:"x" c)) cs in
-         let script = String.concat "\n" ("(declare-const x String)" :: asserts) in
+         let int_unknown = match cs with [ Constr.Includes _ ] -> true | _ -> false in
+         let var, sort = if int_unknown then ("i", "Int") else ("x", "String") in
+         let asserts = List.concat_map (fun c -> ok_exn (Smtgen.assertions ~var c)) cs in
+         let script =
+           String.concat "\n" (Printf.sprintf "(declare-const %s %s)" var sort :: asserts)
+         in
          let terms =
            List.filter_map
              (function Qsmt_smtlib.Ast.Assert t -> Some t | _ -> None)
              (ok_exn (Parser.parse_script script))
          in
          let eval_ok v =
-           List.for_all
-             (fun t -> Eval.term ~model:[ ("x", Eval.V_str v) ] t = Ok (Eval.V_bool true))
-             terms
+           let value =
+             match v with
+             | Constr.Str s -> Eval.V_str s
+             | Constr.Pos p -> Eval.V_int (Option.get p)
+           in
+           List.for_all (fun t -> Eval.term ~model:[ (var, value) ] t = Ok (Eval.V_bool true)) terms
          in
          let rec strings n =
            if n = 0 then [ "" ]
            else List.concat_map (fun s -> List.map (fun c -> s ^ String.make 1 c) [ 'a'; 'b'; 'c' ]) (strings (n - 1))
          in
-         let candidates = strings len @ [ String.make (len + 1) 'a' ] in
+         let candidates =
+           if int_unknown then List.init (len + 2) (fun p -> Constr.Pos (Some (p - 1)))
+           else List.map (fun s -> Constr.Str s) (strings len @ [ String.make (len + 1) 'a' ])
+         in
          let agrees emitted =
            List.for_all
-             (fun v ->
-               List.for_all (fun c -> Constr.verify c (Constr.Str v)) emitted = eval_ok v)
+             (fun v -> List.for_all (fun c -> Constr.verify c v) emitted = eval_ok v)
              candidates
          in
          match compile_script script with
-         | Ok (Scompile.Generate { constr; _ }) -> agrees [ constr ]
+         | Ok (Scompile.Generate { constr; _ } | Scompile.Locate { constr; _ }) -> agrees [ constr ]
          | Ok (Scompile.Generate_joint { conjuncts; _ }) -> agrees conjuncts
          | Ok (Scompile.Trivial b) -> List.for_all (fun v -> eval_ok v = b) candidates
-         | Ok (Scompile.Solved _ | Scompile.Locate _) | Error _ -> cs = []))
+         | Ok (Scompile.Solved _) | Error _ -> cs = []))
 
 let test_export_solves_for_folding_ops () =
   (* replace/reverse/concat fold to Equals during compilation — the round
@@ -324,7 +343,7 @@ let test_embedding_trim_shrinks () =
   check Alcotest.bool "strictly fewer qubits" true
     (Embedding.total_qubits_used trimmed < Embedding.total_qubits_used padded);
   (* and on a real greedy embedding it must never grow or invalidate *)
-  let constr = Constr.Includes { haystack = "abcabcabc"; needle = "abc" } in
+  let constr = Constr.Includes { haystack = "abcabcabc"; needle = "abc"; first = false } in
   let q = Compile.to_qubo constr in
   let problem = Qgraph.of_qubo q in
   let hardware = Topology.graph (Topology.chimera ~m:3 ()) in
@@ -359,7 +378,7 @@ let test_embed_anneal_unembed_preserves_table1 () =
       Constr.Equals "qubo";
       Constr.Concat [ "an"; "neal" ];
       Constr.Palindrome { length = 6 };
-      Constr.Includes { haystack = "hello world"; needle = "world" };
+      Constr.Includes { haystack = "hello world"; needle = "world"; first = false };
       Constr.Contains { length = 5; substring = "cat" };
       Constr.Reverse "chain";
     ]
@@ -404,7 +423,7 @@ let test_solver_carries_hardware_stats () =
   (* Solver.solve through the hardware sampler surfaces the diagnostics;
      a second same-shape solve reuses the cached embedding. *)
   Hardware.clear_embedding_cache ();
-  let constr = Constr.Includes { haystack = "hello world"; needle = "world" } in
+  let constr = Constr.Includes { haystack = "hello world"; needle = "world"; first = false } in
   let mk () =
     Sampler.hardware_auto (fun q ->
         { (Hardware.default_params (Hardware.auto_topology ~seed:0 ~kind:`Chimera q)) with

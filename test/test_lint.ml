@@ -27,7 +27,7 @@ let table1 =
     Constr.Regex { pattern = Rparser.parse_exn "a[bc]+"; length = 5 };
     Constr.Concat [ "hello"; " "; "world" ];
     Constr.Index_of { length = 6; substring = "hi"; index = 2; first = false };
-    Constr.Includes { haystack = "hello world"; needle = "world" };
+    Constr.Includes { haystack = "hello world"; needle = "world"; first = false };
   ]
 
 let has_check tag findings = List.exists (fun f -> f.Analyze.check = tag) findings
@@ -184,7 +184,7 @@ let test_table1_indexof_warns_by_design () =
   check Alcotest.int "but no errors" 0 (errors findings)
 
 let test_findings_ordered_by_severity () =
-  let constr = Constr.Includes { haystack = "hello world"; needle = "world" } in
+  let constr = Constr.Includes { haystack = "hello world"; needle = "world"; first = false } in
   let q = flip_first_coupler (Compile.to_qubo constr) in
   let findings = Lint.lint_compiled constr q in
   let ranks = List.map (fun f -> Analyze.severity_rank f.Analyze.severity) findings in
@@ -202,7 +202,7 @@ let test_mutation_zeroed_penalty_is_error () =
   check Alcotest.bool "is an error" true (errors findings > 0)
 
 let test_mutation_flipped_coupler_is_error () =
-  let constr = Constr.Includes { haystack = "hello world"; needle = "world" } in
+  let constr = Constr.Includes { haystack = "hello world"; needle = "world"; first = false } in
   let q = flip_first_coupler (Compile.to_qubo constr) in
   let findings = Lint.lint_compiled constr q in
   check Alcotest.bool "unsound ground state" true (has_check "unsound-ground-state" findings)

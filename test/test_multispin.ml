@@ -1,17 +1,15 @@
-(* The bit-parallel multi-replica kernel (Qsmt_qubo.Multispin) against
-   its scalar oracle (Qsmt_qubo.Fields):
+(* The bit-parallel multi-replica kernel (Qsmt_qubo.Multispin) that SQA
+   and PT sweep with, against its scalar oracle (Qsmt_qubo.Fields):
 
    - property tests drive random flip-mask sequences through a packed
      state next to one scalar Fields state per lane and require bitwise
-     identical spins, fields, deltas and energies (the float-exactness
-     contract from multispin.mli);
+     identical spins, fields, deltas (both [delta] and the buffer form
+     [deltas]) and energies (the float-exactness contract from
+     multispin.mli);
    - the bucketed accept path's marginals are checked against the
      closed-form min(1, exp(-beta*delta)) at a grid of deltas;
-   - Sa.run_packed in Lockstep mode must return sample-identical sets to
-     Sa.sample from the same seed, including tail-lane groups (reads not
-     a multiple of 64) and a single read;
-   - drift/refresh parity with the scalar kernel, and the packed
-     kernel's refresh_every validation. *)
+   - drift/refresh parity with the scalar kernel, and [create]'s
+     validation. *)
 
 module Bitvec = Qsmt_util.Bitvec
 module Prng = Qsmt_util.Prng
@@ -20,8 +18,6 @@ module Qgraph = Qsmt_qubo.Qgraph
 module Ising = Qsmt_qubo.Ising
 module Fields = Qsmt_qubo.Fields
 module Multispin = Qsmt_qubo.Multispin
-module Sa = Qsmt_anneal.Sa
-module Sampleset = Qsmt_anneal.Sampleset
 module Spinglass = Qsmt_anneal.Spinglass
 
 (* ------------------------------------------------------------------ *)
@@ -59,7 +55,18 @@ let oracle_parity (seed, n, density, lanes) =
   let starts = Array.init lanes (fun _ -> Bitvec.random rng n) in
   let ms = Multispin.create ising starts in
   let oracle = Array.map (fun s -> Fields.create ising (Bitvec.copy s)) starts in
+  let buf = Array.make lanes nan in
   let check_all step =
+    (* the buffer form, per site, for every lane at once: lanes at and
+       above 32 read the word's high half *)
+    for i = 0 to n - 1 do
+      Multispin.deltas ms i buf;
+      for l = 0 to lanes - 1 do
+        if buf.(l) <> Fields.delta oracle.(l) i then
+          QCheck.Test.fail_reportf "deltas diverged at step %d lane %d site %d: %h <> %h" step l
+            i buf.(l) (Fields.delta oracle.(l) i)
+      done
+    done;
     for l = 0 to lanes - 1 do
       let f = oracle.(l) in
       if Multispin.energy ms l <> Fields.energy f then
@@ -78,7 +85,8 @@ let oracle_parity (seed, n, density, lanes) =
   check_all (-1);
   for step = 0 to 99 do
     let i = Prng.int rng n in
-    let mask = Int64.of_int (Prng.int rng (1 lsl min lanes 30)) in
+    (* all 64 bits, so lanes at and above 32 flip too *)
+    let mask = Prng.bits64 rng in
     Multispin.flip ms i mask;
     for l = 0 to lanes - 1 do
       if Int64.logand (Int64.shift_right_logical mask l) 1L = 1L then Fields.flip oracle.(l) i
@@ -204,76 +212,6 @@ let accept_units =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Sa.run_packed: lockstep sample parity, tail lanes, postprocess *)
-
-let sample_parity ~reads ~sweeps ~seed q =
-  let params = { Sa.default with Sa.reads; sweeps; seed } in
-  let scalar = Sa.sample ~params q in
-  let packed = Sa.run_packed ~params ~mode:Sa.Lockstep q in
-  let entries s =
-    List.map
-      (fun e -> (Bitvec.to_string e.Sampleset.bits, e.Sampleset.energy, e.Sampleset.occurrences))
-      (Sampleset.entries s)
-  in
-  Alcotest.(check (list (triple string (float 0.) int)))
-    (Printf.sprintf "reads=%d sample parity" reads)
-    (entries scalar) (entries packed)
-
-let lockstep_parity () =
-  let q, _ = random_ising ~seed:5 ~n:48 ~density:0.3 in
-  (* 70 reads: one full group and a 6-lane tail. 1 read: a single lane.
-     64: exactly one full group. *)
-  List.iter (fun reads -> sample_parity ~reads ~sweeps:60 ~seed:3 q) [ 1; 7; 64; 70 ]
-
-let postprocess_parity () =
-  let q, _ = random_ising ~seed:6 ~n:40 ~density:0.4 in
-  let params = { Sa.default with Sa.reads = 20; sweeps = 40; seed = 4; postprocess = true } in
-  let scalar = Sa.sample ~params q in
-  let packed = Sa.run_packed ~params ~mode:Sa.Lockstep q in
-  (* The scalar path descends the Fields state carried through the
-     anneal; the packed path descends a fresh state built from the
-     decoded lane — same assignment, ulp-different accumulators. *)
-  Alcotest.(check (float 1e-9))
-    "postprocessed best energies agree" (Sampleset.lowest_energy scalar)
-    (Sampleset.lowest_energy packed)
-
-let bucketed_tracked_energies () =
-  (* The fast path draws differently, so only invariants are checked:
-     every read present, every tracked energy = full recompute. *)
-  let q, _ = random_ising ~seed:9 ~n:40 ~density:0.4 in
-  let params = { Sa.default with Sa.reads = 70; sweeps = 50; seed = 2 } in
-  let ss = Sa.run_packed ~params q in
-  Alcotest.(check int) "all reads decoded" 70 (Sampleset.total_reads ss);
-  List.iter
-    (fun e ->
-      let recomputed = Qubo.energy q e.Sampleset.bits in
-      if Float.abs (e.Sampleset.energy -. recomputed) > 1e-9 then
-        Alcotest.failf "tracked energy %.12g, recomputed %.12g" e.Sampleset.energy recomputed)
-    (Sampleset.entries ss)
-
-let of_multispin_roundtrip () =
-  let q, ising = random_ising ~seed:10 ~n:30 ~density:0.5 in
-  let rng = Prng.create 11 in
-  let starts = Array.init 10 (fun _ -> Bitvec.random rng 30) in
-  let ms = Multispin.create ising starts in
-  let ss = Sampleset.of_multispin q ms in
-  Alcotest.(check int) "one read per lane" 10 (Sampleset.total_reads ss);
-  List.iter
-    (fun e ->
-      if Float.abs (e.Sampleset.energy -. Qubo.energy q e.Sampleset.bits) > 1e-9 then
-        Alcotest.failf "of_multispin energy mismatch")
-    (Sampleset.entries ss)
-
-let run_packed_units =
-  [
-    Alcotest.test_case "lockstep run_packed = scalar sample (incl. tail lanes)" `Quick
-      lockstep_parity;
-    Alcotest.test_case "postprocess descends to the same best" `Quick postprocess_parity;
-    Alcotest.test_case "bucketed path: reads + tracked energies" `Quick bucketed_tracked_energies;
-    Alcotest.test_case "Sampleset.of_multispin decodes every lane" `Quick of_multispin_roundtrip;
-  ]
-
-(* ------------------------------------------------------------------ *)
 (* validation *)
 
 let invalid_arg_of f = try ignore (f ()); None with Invalid_argument m -> Some m
@@ -294,17 +232,6 @@ let validation_units =
     Alcotest.test_case "create: lane length mismatch rejected" `Quick (fun () ->
         Alcotest.(check bool) "raises" true
           (invalid_arg_of (fun () -> Multispin.create (mk_ising ()) (starts 3 7)) <> None));
-    Alcotest.test_case "create: negative refresh_every rejected" `Quick (fun () ->
-        Alcotest.(check bool) "raises" true
-          (invalid_arg_of (fun () ->
-               Multispin.create ~refresh_every:(-1) (mk_ising ()) (starts 2 8))
-          <> None));
-    Alcotest.test_case "run_packed: reads < 1 rejected" `Quick (fun () ->
-        let q, _ = random_ising ~seed:22 ~n:6 ~density:0.5 in
-        Alcotest.(check bool) "raises" true
-          (invalid_arg_of (fun () ->
-               Sa.run_packed ~params:{ Sa.default with Sa.reads = 0 } q)
-          <> None));
   ]
 
 let () =
@@ -312,6 +239,5 @@ let () =
     [
       ("kernel-vs-scalar-oracle", kernel_props);
       ("bucketed-accept", accept_units);
-      ("run-packed", run_packed_units);
       ("validation", validation_units);
     ]

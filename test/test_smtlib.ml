@@ -366,8 +366,11 @@ let test_compile_includes () =
       (compile_script
          {|(declare-const i Int)(assert (= i (str.indexof "hello world" "world" 0)))|})
   with
-  | Compile.Locate { var = "i"; constr = Constr.Includes { haystack = "hello world"; needle = "world" } }
-    ->
+  | Compile.Locate
+      {
+        var = "i";
+        constr = Constr.Includes { haystack = "hello world"; needle = "world"; first = true };
+      } ->
     ()
   | _ -> Alcotest.fail "expected Locate"
 

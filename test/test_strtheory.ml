@@ -218,7 +218,10 @@ let test_includes_one_hot_enforced () =
   check (Alcotest.option Alcotest.int) "first" (Some 0) (Op_includes.decode (List.hd states))
 
 let test_includes_solve () =
-  let outcome = Solver.solve ~sampler (Constr.Includes { haystack = "hello world"; needle = "wor" }) in
+  let outcome =
+    Solver.solve ~sampler
+      (Constr.Includes { haystack = "hello world"; needle = "wor"; first = false })
+  in
   check Alcotest.bool "satisfied" true outcome.Solver.satisfied;
   check Alcotest.bool "position 6" true (outcome.Solver.value = Constr.Pos (Some 6))
 
@@ -424,7 +427,7 @@ let test_regex_encode_errors () =
 let test_constr_num_vars () =
   check Alcotest.int "equals" 21 (Constr.num_vars (Constr.Equals "abc"));
   check Alcotest.int "includes" 4
-    (Constr.num_vars (Constr.Includes { haystack = "abcabc"; needle = "abc" }));
+    (Constr.num_vars (Constr.Includes { haystack = "abcabc"; needle = "abc"; first = false }));
   check Alcotest.int "palindrome" 42 (Constr.num_vars (Constr.Palindrome { length = 6 }))
 
 let test_constr_validate () =
@@ -438,7 +441,9 @@ let test_constr_validate () =
 
 let test_verify_wrong_value_kind () =
   check Alcotest.bool "string for includes" false
-    (Constr.verify (Constr.Includes { haystack = "ab"; needle = "a" }) (Constr.Str "a"));
+    (Constr.verify
+       (Constr.Includes { haystack = "ab"; needle = "a"; first = false })
+       (Constr.Str "a"));
   check Alcotest.bool "pos for equals" false
     (Constr.verify (Constr.Equals "a") (Constr.Pos (Some 0)))
 
@@ -566,7 +571,8 @@ let test_pipeline_positional_decode_blocks () =
      string form to feed the downstream stage. Earlier revisions fed ""
      forward silently; now this is a typed error naming the stage. *)
   let p =
-    { Pipeline.initial = Constr.Includes { haystack = "hello world"; needle = "world" };
+    { Pipeline.initial =
+        Constr.Includes { haystack = "hello world"; needle = "world"; first = false };
       Pipeline.stages = [ Pipeline.Reverse ] }
   in
   match Solver.solve_pipeline ~sampler p with
@@ -582,7 +588,8 @@ let test_pipeline_positional_final_stage_ok () =
   (* A positional decode is only an error when something comes *after*
      it; as the last (only) constraint it is a normal outcome. *)
   let p =
-    { Pipeline.initial = Constr.Includes { haystack = "hello world"; needle = "world" };
+    { Pipeline.initial =
+        Constr.Includes { haystack = "hello world"; needle = "world"; first = false };
       Pipeline.stages = [] }
   in
   match Solver.solve_pipeline ~sampler p with
@@ -626,7 +633,7 @@ let test_joint_compatible () =
   check (Alcotest.option Alcotest.int) "palindrome" (Some 4)
     (Joint.compatible (Constr.Palindrome { length = 4 }));
   check (Alcotest.option Alcotest.int) "includes excluded" None
-    (Joint.compatible (Constr.Includes { haystack = "ab"; needle = "a" }))
+    (Joint.compatible (Constr.Includes { haystack = "ab"; needle = "a"; first = false }))
 
 let test_joint_encode_errors () =
   (match Joint.encode [] with
@@ -635,7 +642,7 @@ let test_joint_encode_errors () =
   (match Joint.encode [ Constr.Equals "ab"; Constr.Palindrome { length = 3 } ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "length mismatch should fail");
-  match Joint.encode [ Constr.Includes { haystack = "ab"; needle = "a" } ] with
+  match Joint.encode [ Constr.Includes { haystack = "ab"; needle = "a"; first = false } ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "includes should fail"
 
@@ -741,7 +748,7 @@ let test_workload_planted_includes () =
     match
       Workload.generate_satisfiable ~rng ~kinds:[ Workload.K_includes ] ~max_length:6 ()
     with
-    | Constr.Includes { haystack; needle } ->
+    | Constr.Includes { haystack; needle; _ } ->
       if Semantics.index_of haystack ~sub:needle = None then
         Alcotest.failf "unplanted needle %S in %S" needle haystack
     | c -> Alcotest.failf "wrong kind: %s" (Constr.describe c)
@@ -828,7 +835,7 @@ let test_smtgen_script_runs () =
       Constr.Equals "hi";
       Constr.Concat [ "a"; "b" ];
       Constr.Contains { length = 4; substring = "cat" };
-      Constr.Includes { haystack = "xxcat"; needle = "cat" };
+      Constr.Includes { haystack = "xxcat"; needle = "cat"; first = false };
       Constr.Index_of { length = 5; substring = "hi"; index = 1; first = false };
       Constr.Replace_all { source = "hello"; find = 'l'; replace = 'x' };
       Constr.Reverse "abc";
