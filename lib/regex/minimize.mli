@@ -1,10 +1,12 @@
-(** DFA minimization (Hopcroft partition refinement).
+(** DFA minimization (Hopcroft partition refinement) and language
+    equivalence.
 
-    Subset construction can produce many redundant states; minimizing
-    before the SAT bit-blaster's unrolled-automaton encoding shrinks its
-    CNF by a factor of [states_before / states_after] per position, and
-    the canonical minimal DFA also gives a decidable language-equivalence
-    check used by the property tests. *)
+    No solver path calls this module: the SAT bit-blaster unrolls the
+    automaton {!Dfa.of_syntax} builds as it is. It serves the tests,
+    which use {!equivalent} to compare regexes as languages (an exported
+    and re-parsed pattern may differ in syntax but not in language) and
+    check that {!minimize} preserves the language with the fewest
+    states. *)
 
 val minimize : Dfa.t -> Dfa.t
 (** Language-preserving; the result has the minimum number of states for
