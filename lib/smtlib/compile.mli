@@ -21,7 +21,8 @@
       over one merged QUBO ({!Qsmt_strtheory.Joint});
     - a length alone → [Regex .*] at that length (any string);
     - an Int unknown bound to [str.indexof] of two literals → the
-      {!Qsmt_strtheory.Constr.Includes} position search.
+      {!Qsmt_strtheory.Constr.Includes} position search, with
+      [first = true] (the position must be the first occurrence).
 
     Anything else is [Unsupported] — reported as [unknown], never as a
     wrong answer. *)

@@ -7,10 +7,12 @@
 
     The rendering targets this repository's compiler conventions:
     [Index_of] becomes [(= (str.indexof x sub 0) i)], which compiles
-    back to [Index_of] with [first = true]. The paper's form
-    ([first = false], "occurs at") is slightly weaker than SMT-LIB's
-    "first occurrence at", so its exported script is at least as
-    strong as the constraint. {!Constr.Has_length} has no standard
+    back to [Index_of] with [first = true], and [Includes] becomes
+    [(= i (str.indexof hay needle 0))], which compiles back to
+    [Includes] with [first = true]. The paper's forms ([first = false],
+    "occurs at") are slightly weaker than SMT-LIB's "first occurrence
+    at", so their exported scripts are at least as strong as the
+    constraints. {!Constr.Has_length} has no standard
     counterpart (the paper's unary-bit recipe) and is rejected. *)
 
 val escape_string : string -> string

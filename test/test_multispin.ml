@@ -119,7 +119,7 @@ let drift_refresh_parity (seed, n, density, lanes) =
   let starts = Array.init lanes (fun _ -> Bitvec.random rng n) in
   let ms = Multispin.create ising starts in
   for _ = 0 to 199 do
-    Multispin.flip ms (Prng.int rng n) (Int64.of_int (Prng.int rng (1 lsl min lanes 30)))
+    Multispin.flip ms (Prng.int rng n) (Prng.bits64 rng)
   done;
   (* Tracked state follows the scalar op order exactly, so with dyadic
      or not, drift against a fresh recompute stays tiny; refresh must
