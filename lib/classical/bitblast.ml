@@ -44,9 +44,11 @@ let encode_contains ~length ~substring =
 let encode_includes ~haystack ~needle ~first =
   let n = String.length haystack and m = String.length needle in
   let positions = n - m + 1 in
-  let admissible p =
-    if first then Semantics.index_of haystack ~sub:needle = Some p
-    else Semantics.occurs_at haystack ~sub:needle p
+  let admissible =
+    if first then
+      let at = Semantics.index_of haystack ~sub:needle in
+      fun p -> at = Some p
+    else Semantics.occurs_at haystack ~sub:needle
   in
   let clauses = ref (Cnf.exactly_one (List.init positions (fun p -> p))) in
   for p = 0 to positions - 1 do
